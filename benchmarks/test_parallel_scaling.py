@@ -1,11 +1,9 @@
-"""Parallel-round scaling: persistent pools, batched engine, shm dispatch.
+"""Parallel-round scaling: long-lived pools, batched engine, shm dispatch.
 
 Measures round throughput and per-round dispatch overhead for the three
-execution backends at several model sizes, and pits the persistent pool
-(workers start once, dataset ships once, per-round dispatch is a slim
-``_GroupTask``) against the pre-change behavior emulated with
-``ParallelMap(..., persistent=False)`` (a fresh pool built and torn down
-every ``map`` call). A second sweep times the stacked batched training
+execution backends at several model sizes (workers start once, the dataset
+ships once, per-round dispatch is the slim task tuple of
+``repro.core.executor``). A second sweep times the stacked batched training
 engine (``repro.nn.batched``) against the per-client reference loop at
 group sizes >= 20 in the regime the engine targets — small models, small
 batches, where Python dispatch (not GEMM time) dominates. Results land in
@@ -13,10 +11,10 @@ batches, where Python dispatch (not GEMM time) dominates. Results land in
 smoke mode (``REPRO_BENCH_SMOKE=1``) and uploads the JSON.
 
 Hard assertions are structural (pool counts, one-time worker init,
-batched == reference bit-for-bit) plus the timing claims: reusing the pool
-beats respawning workers every round; the batched engine is >= 3x the
-per-client loop at group size >= 20; and, given at least two cores, the
-process backend beats the serial loop at every benchmarked model size.
+batched == reference bit-for-bit) plus the timing claims: the batched
+engine is >= 3x the per-client loop at group size >= 20; and, given at
+least two cores, the process backend beats the serial loop at every
+benchmarked model size.
 The committed ``benchmarks/parallel_baseline.json`` turns those ratios
 into a CI regression gate: any cell that drops more than 30% below its
 baseline fails the run (mirroring the hotpaths gate).
@@ -82,14 +80,13 @@ def _make_fed():
     )
 
 
-def _run_config(fed, groups, hidden, backend, persistent):
-    """Train ROUNDS rounds on one (backend, model size, pool mode) cell."""
-    tel = Telemetry(label=f"{backend}-{'persistent' if persistent else 'transient'}")
+def _run_config(fed, groups, hidden, backend):
+    """Train ROUNDS rounds on one (backend, model size) cell."""
+    tel = Telemetry(label=backend)
     cfg = TrainerConfig(group_rounds=1, local_rounds=1, num_sampled=3,
                         lr=0.08, max_rounds=ROUNDS, seed=0,
                         parallel_backend=backend)
-    pmap = ParallelMap(backend, max_workers=2, persistent=persistent,
-                       telemetry=tel)
+    pmap = ParallelMap(backend, max_workers=2, telemetry=tel)
     trainer = GroupFELTrainer(MODEL_FNS[hidden], fed, groups, cfg,
                               parallel=pmap)
     try:
@@ -105,7 +102,6 @@ def _run_config(fed, groups, hidden, backend, persistent):
     init = tel.metrics.histogram("pool.init_s")
     return {
         "backend": backend,
-        "mode": "persistent" if persistent else "transient",
         "hidden": list(hidden),
         "model_params": int(model_params),
         "rounds": ROUNDS,
@@ -244,17 +240,15 @@ def test_persistent_pool_scaling(benchmark):
         rows = []
         for hidden in HIDDEN_SIZES:
             for backend in ("serial", "thread", "process"):
-                rows.append(_run_config(fed, groups, hidden, backend, True))
-            # Pre-change baseline: a fresh process pool per round.
-            rows.append(_run_config(fed, groups, hidden, "process", False))
+                rows.append(_run_config(fed, groups, hidden, backend))
         return rows, _bench_engine()
 
     rows, engine_rows = run_once(benchmark, sweep)
 
-    print(f"\n{'backend':>8} {'mode':>10} {'params':>8} {'s/round':>9} "
+    print(f"\n{'backend':>8} {'params':>8} {'s/round':>9} "
           f"{'dispatch s/rd':>13} {'pools':>6}")
     for r in rows:
-        print(f"{r['backend']:>8} {r['mode']:>10} {r['model_params']:>8} "
+        print(f"{r['backend']:>8} {r['model_params']:>8} "
               f"{r['per_round_s']:>9.3f} {r['dispatch_s_per_round']:>13.4f} "
               f"{r['pools_created']:>6}")
 
@@ -265,26 +259,16 @@ def test_persistent_pool_scaling(benchmark):
               f"{r['reference_s']:>12.4f} {r['batched_s']:>10.4f} "
               f"{r['speedup']:>8.2f}")
 
-    by = {(r["backend"], r["mode"], tuple(r["hidden"])): r for r in rows}
+    by = {(r["backend"], tuple(r["hidden"])): r for r in rows}
     ratio_rows = []
     for hidden in HIDDEN_SIZES:
-        serial = by[("serial", "persistent", hidden)]
-        thread = by[("thread", "persistent", hidden)]
-        proc = by[("process", "persistent", hidden)]
-        transient = by[("process", "transient", hidden)]
-        # Structural: persistent pools are built once for the whole run,
-        # the old behavior rebuilt one per round.
+        serial = by[("serial", hidden)]
+        thread = by[("thread", hidden)]
+        proc = by[("process", hidden)]
+        # Structural: pools are built once for the whole run.
         assert serial["pools_created"] == 0
         assert thread["pools_created"] == 1
         assert proc["pools_created"] == 1
-        assert transient["pools_created"] == ROUNDS
-        # Timing claims need real parallel hardware: on a single core,
-        # fork startup is near-free and scheduler noise swamps the margins.
-        if MULTICORE:
-            # Worker-respawn-per-round margin: per-round overhead shrank
-            # vs the pre-change baseline.
-            assert proc["total_s"] < transient["total_s"]
-            assert proc["pool_init_s_total"] < transient["pool_init_s_total"]
         ratio_rows.append(
             {
                 "hidden": list(hidden),

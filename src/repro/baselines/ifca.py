@@ -152,8 +152,8 @@ class IFCATrainer(GroupFELTrainer):
         total_bytes = total_size = 0
         # M-step: each cluster's groups train from its center and fold back
         # into it. Clusters run in index order (deterministic on every
-        # backend); shm results are copied out per call, so the several
-        # dispatches per round cannot alias each other's ring slots.
+        # backend); the executor copies results out per call, so the
+        # several dispatches per round cannot alias each other.
         for c in sorted(by_cluster):
             idxs = by_cluster[c]
             subset = [selected[i] for i in idxs]

@@ -30,6 +30,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["capture_state", "restore_state", "config_fingerprint"]
 
+#: config fields that choose where and how a round is computed, never what
+#: it computes (every backend and engine is bit-identical) — left out of the
+#: fingerprint so a checkpoint resumes on any of them
+_EXECUTION_ONLY_FIELDS = ("parallel_backend", "engine", "pipeline_rounds")
+
 
 def config_fingerprint(config: "TrainerConfig", grouper=None) -> dict:
     """JSON-safe summary of the config, stored in the checkpoint header.
@@ -40,10 +45,12 @@ def config_fingerprint(config: "TrainerConfig", grouper=None) -> dict:
     (its repr carries MinGS/MaxCoV/engine/cov_metric), so a resume under a
     different grouping — or, via the config's ``population`` field, a
     different population schedule — is rejected loudly instead of
-    silently diverging.
+    silently diverging. Execution-only fields are skipped.
     """
     fp: dict = {}
     for f in fields(config):
+        if f.name in _EXECUTION_ONLY_FIELDS:
+            continue
         value = getattr(config, f.name)
         if value is None or isinstance(value, (bool, int, float, str)):
             fp[f.name] = value

@@ -12,13 +12,11 @@ compare accuracy reached within it.
 
 from __future__ import annotations
 
-import copy
-import itertools
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,7 +32,11 @@ from repro.checkpoint import (
     write_checkpoint,
 )
 from repro.core.aggregation import weighted_average
-from repro.core.group import run_group_round
+from repro.core.executor import GroupExecutor, GroupRunner
+
+# Not called here: GroupRunner.run resolves the name through this module,
+# where the end-to-end round ledger (benchmarks/e2e/layers.py) rebinds it.
+from repro.core.group import run_group_round  # noqa: F401
 from repro.core.strategies import LocalStrategy, PlainSGDStrategy
 from repro.costs.ledger import CostLedger
 from repro.costs.model import CostModel, LinearCost, QuadraticCost
@@ -44,12 +46,7 @@ from repro.grouping.base import Group, Grouper, group_clients_per_edge
 from repro.metrics.history import TrainingHistory
 from repro.nn.model import Model
 from repro.nn.optim import SGD
-from repro.parallel import (
-    ParallelMap,
-    available_backends,
-    get_active as get_active_parallel,
-    worker_state,
-)
+from repro.parallel import ParallelMap, available_backends
 from repro.population import (
     ColumnarPopulation,
     PopulationEngine,
@@ -58,13 +55,12 @@ from repro.population import (
     get_active_population,
 )
 from repro.rng import derive_seed, make_rng
-from repro.shm import ShmChannel, ShmView
 from repro.sampling.probability import WEIGHT_FUNCTIONS
 from repro.sampling.sampler import ADAPTIVE_METHODS, AggregationMode, GroupSampler
 from repro.sampling.schemes import SCHEMES
 from repro.secure.backdoor import BackdoorDetector
 from repro.secure.secagg import SecureAggregator
-from repro.telemetry import NULL_TELEMETRY, Telemetry, resolve as resolve_telemetry
+from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
 __all__ = ["TrainerConfig", "GroupFELTrainer", "engine_overrides_activated"]
 
@@ -76,15 +72,14 @@ _active_engine_overrides: dict | None = None
 def engine_overrides_activated(
     *,
     engine: str | None = None,
-    shared_memory: bool | None = None,
     pipeline_rounds: bool | None = None,
     sampling_scheme: str | None = None,
 ):
     """Override round-engine knobs on every trainer built in the block.
 
     The experiment generators construct their own :class:`TrainerConfig`;
-    this is how the CLI's ``--engine`` / ``--no-shared-memory`` /
-    ``--pipeline-rounds`` / ``--sampling-scheme`` flags reach them without
+    this is how the CLI's ``--engine`` / ``--pipeline-rounds`` /
+    ``--sampling-scheme`` flags reach them without
     the generators knowing about any of it (the same ambient pattern as
     ``parallel.activated``). Only the knobs passed non-None are
     overridden; the trainer applies them with ``dataclasses.replace``,
@@ -95,7 +90,6 @@ def engine_overrides_activated(
         k: v
         for k, v in {
             "engine": engine,
-            "shared_memory": shared_memory,
             "pipeline_rounds": pipeline_rounds,
             "sampling_scheme": sampling_scheme,
         }.items()
@@ -163,11 +157,6 @@ class TrainerConfig:
     #: (repro.nn.batched) whenever the model/strategy support it,
     #: "batched" forces it, "reference" keeps the per-client loop
     engine: str = "auto"
-    #: process backend only: move global params and group results through
-    #: multiprocessing.shared_memory rings instead of per-task pickles
-    #: (falls back to pickling transparently if shared memory is
-    #: unavailable)
-    shared_memory: bool = True
     #: overlap round t's evaluation + checkpoint writes with round t+1's
     #: group compute on a single background thread (bit-identical history;
     #: opt-in)
@@ -249,135 +238,6 @@ class TrainerConfig:
             )
 
 
-@dataclass
-class _WorkerContext:
-    """Round-invariant state shipped to pool workers **once per pool**.
-
-    The trainer registers one context per pool lifetime under a unique
-    token (``ParallelMap.register_worker_state``); the process-pool
-    initializer installs it in every worker, so per-round dispatch never
-    re-pickles the federated dataset or the model factory. Group operations
-    are *reconstructed* in the worker from these config flags (the trainer
-    holds unpicklable state — live telemetry, pools), so custom
-    ``backdoor_detector`` / secure-aggregator instances only ride along on
-    the serial/thread backends.
-    """
-
-    model_fn: object
-    #: the full client list (object path) or None (columnar path — the
-    #: sampled clients ride in each round's :class:`_GroupTask` instead)
-    clients: list | None
-    lr: float
-    momentum: float
-    weight_decay: float
-    group_rounds: int
-    local_rounds: int
-    batch_size: int
-    step_mode: str
-    strategy: LocalStrategy
-    use_secagg: bool
-    use_backdoor: bool
-    dropout_threshold: int | None
-    dropout_prob: float
-    payload_factor: int
-    compressor: object = None
-    attackers: dict = field(default_factory=dict)
-    fault_plan: FaultPlan | None = None
-    engine: str = "auto"
-
-
-@dataclass
-class _GroupTask:
-    """The per-round delta a worker needs on top of its registered context:
-    the current global model, which group to run, and the round's RNG."""
-
-    token: str
-    group: Group
-    rng: np.random.Generator
-    #: the round's global model — a plain array (pickled with the task) or,
-    #: on the shared-memory path, a :class:`repro.shm.ShmView` descriptor
-    #: the worker resolves against the params ring
-    global_params: np.ndarray | ShmView
-    round_idx: int
-    #: columnar path only: this group's lazily-materialized clients
-    #: (zero-copy views in-process; pickled by the pool for workers —
-    #: only the ~|g| sampled clients cross, never the population)
-    clients: dict | None = None
-    #: shared-memory path only: the result-ring slot this task's group
-    #: model is written to (the worker then returns ``None`` params)
-    result: ShmView | None = None
-
-
-def _process_group_worker(task: _GroupTask) -> tuple[np.ndarray, list[FaultEvent]]:
-    """Run one group round in a worker process (module-level: picklable)."""
-    ctx: _WorkerContext = worker_state(task.token)
-    model = ctx.model_fn()
-    optimizer = SGD(
-        model, lr=ctx.lr, momentum=ctx.momentum, weight_decay=ctx.weight_decay
-    )
-    secure_aggregator = (
-        SecureAggregator(payload_factor=ctx.payload_factor, telemetry=NULL_TELEMETRY)
-        if ctx.use_secagg
-        else None
-    )
-    backdoor_detector = (
-        BackdoorDetector(telemetry=NULL_TELEMETRY) if ctx.use_backdoor else None
-    )
-    dropout_aggregator = None
-    if ctx.dropout_threshold is not None:
-        from repro.secure.dropout import DropoutTolerantAggregator
-
-        dropout_aggregator = DropoutTolerantAggregator(threshold=ctx.dropout_threshold)
-    # The context persists across this worker's tasks, but per-task
-    # semantics must match a freshly-pickled payload: stateful compressors
-    # (ErrorFeedback residuals) must not accumulate across groups here when
-    # they would not have under per-task shipping.
-    compressor = copy.deepcopy(ctx.compressor) if ctx.compressor is not None else None
-    events: list[FaultEvent] = []
-    clients = task.clients if task.clients is not None else ctx.clients
-    global_params = task.global_params
-    if isinstance(global_params, ShmView):
-        # Zero-copy receive: map the parent's params ring instead of
-        # unpickling a P-sized array (run_group_round copies immediately,
-        # so the view never outlives the slot's validity).
-        global_params = global_params.resolve()
-    params = run_group_round(
-        model,
-        optimizer,
-        task.group,
-        clients,
-        global_params,
-        group_rounds=ctx.group_rounds,
-        local_rounds=ctx.local_rounds,
-        batch_size=ctx.batch_size,
-        rng=task.rng,
-        strategy=ctx.strategy,
-        step_mode=ctx.step_mode,
-        secure_aggregator=secure_aggregator,
-        backdoor_detector=backdoor_detector,
-        round_id=task.round_idx,
-        compressor=compressor,
-        dropout_prob=ctx.dropout_prob,
-        dropout_aggregator=dropout_aggregator,
-        update_transforms=ctx.attackers or None,
-        telemetry=NULL_TELEMETRY,
-        fault_plan=ctx.fault_plan,
-        fault_events=events,
-        engine=ctx.engine,
-    )
-    if task.result is not None:
-        # Zero-copy return: write the group model into this task's shared-
-        # memory slot; only the (slot descriptor, events) pickle crosses
-        # back to the parent.
-        task.result.resolve()[:] = params
-        return None, events
-    return params, events
-
-
-#: unique worker-state registration tokens (one per trainer instance)
-_TOKEN_COUNTER = itertools.count()
-
-
 class GroupFELTrainer:
     """Run group-based federated edge learning (Algorithm 1).
 
@@ -418,11 +278,9 @@ class GroupFELTrainer:
         Optional shared :class:`repro.parallel.ParallelMap` to run group
         rounds on (it stays open when this trainer closes). Defaults to
         the ambient instance (``repro.parallel.activated``), else a fresh
-        persistent pool built from ``config.parallel_backend`` that this
-        trainer owns and shuts down in :meth:`close`. On the ``process``
-        backend the federated dataset and model factory are registered as
-        one-time worker state, so per-round dispatch ships only the global
-        parameters, the group, and the round RNG.
+        pool built from ``config.parallel_backend`` that this trainer owns
+        and shuts down in :meth:`close`. How groups reach the pool is
+        :mod:`repro.core.executor`'s business.
     checkpoint_dir:
         Directory for crash-safe auto-checkpoints: :meth:`run` saves
         complete trainer state every ``config.checkpoint_every`` rounds
@@ -613,26 +471,6 @@ class GroupFELTrainer:
         self.sampled_history: list[list[Group]] = []
         self.round_idx = 0
 
-        # ---------------------------------------------------- parallel pool
-        # Explicit pool > ambient pool > own persistent pool. Shared pools
-        # are never closed here; owned ones are (see close()).
-        ambient_pmap = get_active_parallel()
-        if parallel is not None:
-            self._pmap = parallel
-            self._owns_pool = False
-        elif ambient_pmap is not None:
-            self._pmap = ambient_pmap
-            self._owns_pool = False
-        else:
-            self._pmap = ParallelMap(
-                self.config.parallel_backend, telemetry=self.telemetry
-            )
-            self._owns_pool = True
-        self._closed = False
-        #: shared-memory dispatch channel (process backend, built lazily on
-        #: first process-pool round; None after a setup failure)
-        self._shm: ShmChannel | None = None
-        self._shm_failed = False
         #: pipelined-rounds state: the single background worker (created
         #: per run()) and its not-yet-joined futures
         self._pipeline_pending: list = []
@@ -641,21 +479,20 @@ class GroupFELTrainer:
         #: evaluation of round t parents its span here so the span tree
         #: stays per-round even when the eval overlaps round t+1
         self._last_round_span_id: int | None = None
-        #: worker-state registration token; unique per trainer instance
-        self._worker_token = f"trainer/{label}/{next(_TOKEN_COUNTER)}"
-        if self._pmap.backend == "process":
-            # One-time shipment of the round-invariant heavy state: the
-            # dataset and model factory cross into workers once per pool,
-            # not once per task.
-            self._pmap.register_worker_state(
-                self._worker_token, self._worker_context()
-            )
+        #: where and how the sampled groups run (serial/thread/process)
+        self.executor = GroupExecutor(
+            self._group_runner(),
+            parallel=parallel,
+            backend=self.config.parallel_backend,
+            materialize=fed.materialize if self._columnar else None,
+            label=label,
+        )
 
         # ------------------------------------------------- checkpointing
         # Explicit directory > ambient policy > none. Under a policy each
         # trainer namespaces its own subdirectory by label; auto-resume
-        # (policy.resume) must run after the pool is set up because it
-        # re-registers worker state.
+        # (policy.resume) must run after the executor is set up because it
+        # refreshes it.
         policy = get_active_checkpoint_policy()
         self.checkpoint_manager: CheckpointManager | None = None
         if checkpoint_dir is not None:
@@ -677,65 +514,28 @@ class GroupFELTrainer:
                     self.load_checkpoint(latest)
 
     # ------------------------------------------------------------------ plumbing
-    def _worker_context(self) -> _WorkerContext:
-        """The round-invariant payload process workers receive once."""
-        cfg = self.config
-        return _WorkerContext(
+    def _group_runner(self) -> GroupRunner:
+        """The round-invariant half of a group round, bound to this
+        trainer's current state (hand a new one to
+        :meth:`GroupExecutor.refresh` whenever that state is rebound)."""
+        return GroupRunner(
             model_fn=self.model_fn,
-            clients=None if self._columnar else self.fed.clients,
-            lr=cfg.lr,
-            momentum=cfg.momentum,
-            weight_decay=cfg.weight_decay,
-            group_rounds=cfg.group_rounds,
-            local_rounds=cfg.local_rounds,
-            batch_size=cfg.batch_size,
-            step_mode=cfg.step_mode,
+            config=self.config,
             strategy=self.strategy,
-            use_secagg=cfg.use_secure_aggregation,
-            use_backdoor=cfg.use_backdoor_defense,
-            dropout_threshold=(
-                self.dropout_aggregator.threshold
-                if self.dropout_aggregator is not None
-                else None
-            ),
-            dropout_prob=cfg.client_dropout_prob,
-            payload_factor=self.strategy.payload_factor,
+            secure_aggregator=self.secure_aggregator,
+            backdoor_detector=self.backdoor_detector,
+            dropout_aggregator=self.dropout_aggregator,
             compressor=self.compressor,
             attackers=self.attackers,
             fault_plan=self.fault_plan,
-            engine=cfg.engine,
+            clients=None if self._columnar else self.fed.clients,
+            telemetry=self.telemetry,
         )
-
-    def _fresh_model_and_optimizer(self) -> tuple[Model, SGD]:
-        """A fresh model+optimizer pair for one group round.
-
-        Every backend builds a new pair per group so no optimizer state
-        (SGD momentum buffers, step counters) can leak between groups or
-        across rounds — the serial path used to reuse one shared pair,
-        silently diverging from the pooled backends.
-        """
-        model = self.model_fn()
-        optimizer = SGD(
-            model,
-            lr=self.config.lr,
-            momentum=self.config.momentum,
-            weight_decay=self.config.weight_decay,
-        )
-        return model, optimizer
 
     def close(self) -> None:
         """Release the parallel pool (shut down if owned) and any
         shared-memory dispatch segments. Idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owns_pool:
-            self._pmap.close()
-        else:
-            self._pmap.unregister_worker_state(self._worker_token)
-        if self._shm is not None:
-            self._shm.close()
-            self._shm = None
+        self.executor.close()
 
     def __enter__(self) -> "GroupFELTrainer":
         return self
@@ -858,96 +658,12 @@ class GroupFELTrainer:
         return delay
 
     # ------------------------------------------------------------------ training
-    def _run_one_group(
-        self,
-        group: Group,
-        rng: np.random.Generator,
-        model: Model,
-        optimizer: SGD,
-        parent_span_id: int | None = None,
-        start_params: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, list[FaultEvent]]:
-        events: list[FaultEvent] = []
-        params = run_group_round(
-            model,
-            optimizer,
-            group,
-            self._clients_for(group),
-            self.global_params if start_params is None else start_params,
-            group_rounds=self.config.group_rounds,
-            local_rounds=self.config.local_rounds,
-            batch_size=self.config.batch_size,
-            rng=rng,
-            strategy=self.strategy,
-            step_mode=self.config.step_mode,
-            secure_aggregator=self.secure_aggregator,
-            backdoor_detector=self.backdoor_detector,
-            round_id=self.round_idx,
-            compressor=self.compressor,
-            dropout_prob=self.config.client_dropout_prob,
-            dropout_aggregator=self.dropout_aggregator,
-            update_transforms=self.attackers or None,
-            telemetry=self.telemetry,
-            parent_span_id=parent_span_id,
-            fault_plan=self.fault_plan,
-            fault_events=events,
-            engine=self.config.engine,
-        )
-        return params, events
-
     def _clients_for(self, group: Group):
         """What ``run_group_round`` indexes member ids into: the full list
         (object path) or just this group's materialized views (columnar)."""
         if self._columnar:
             return self.fed.materialize(group.members)
         return self.fed.clients
-
-    def _group_task(
-        self,
-        group: Group,
-        rng: np.random.Generator,
-        global_params: "np.ndarray | ShmView | None" = None,
-        result: ShmView | None = None,
-    ) -> _GroupTask:
-        """The small per-round dispatch delta (see :class:`_WorkerContext`).
-
-        On the columnar path the task also carries the group's materialized
-        clients — current as of this round, so label drift needs no worker
-        re-shipping — and only those ~|g| clients ever cross the pool. On
-        the shared-memory path ``global_params`` is a ring descriptor and
-        ``result`` names the slot the worker writes the group model to.
-        """
-        return _GroupTask(
-            token=self._worker_token,
-            group=group,
-            rng=rng,
-            global_params=(
-                self.global_params if global_params is None else global_params
-            ),
-            round_idx=self.round_idx,
-            clients=self.fed.materialize(group.members) if self._columnar else None,
-            result=result,
-        )
-
-    def _shm_channel(self) -> ShmChannel | None:
-        """The lazily-built shared-memory dispatch channel, or None when
-        disabled by config or unavailable on this platform (in which case
-        dispatch transparently falls back to per-task pickles)."""
-        if not self.config.shared_memory or self._shm_failed:
-            return None
-        if self._shm is None:
-            try:
-                self._shm = ShmChannel(self.model.num_params)
-            except Exception as exc:
-                self._shm_failed = True
-                warnings.warn(
-                    f"shared-memory dispatch unavailable ({exc!r}); process "
-                    "backend falls back to per-task pickles",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-                return None
-        return self._shm
 
     def _execute_groups(
         self,
@@ -956,83 +672,12 @@ class GroupFELTrainer:
         start_params: np.ndarray,
         round_span_id: int | None,
     ) -> list[tuple[np.ndarray, list[FaultEvent]]]:
-        """Train ``selected`` from ``start_params`` on the configured backend.
-
-        Returns one ``(group_params, fault_events)`` pair per group, in
-        order. Shared-memory results are copied out of the ring before
-        returning, so callers may invoke this several times per round
-        (clustered trainers do — once per cluster, each from a different
-        start vector) without slot-reuse hazards.
-        """
-        # SCAFFOLD mutates shared control-variate state per client; run
-        # its groups serially regardless of the configured backend.
-        # Single-group rounds also run serially: pool dispatch buys
-        # nothing, and the process path would route group ops through
-        # NULL_TELEMETRY, losing their spans and counters.
-        stateful = self.strategy.name == "scaffold"
-        if (
-            self._pmap.backend == "serial"
-            or stateful
-            or len(selected) <= 1
-        ):
-            results = []
-            for g, r in zip(selected, group_rngs):
-                model, opt = self._fresh_model_and_optimizer()
-                results.append(
-                    self._run_one_group(g, r, model, opt, start_params=start_params)
-                )
-        elif self._pmap.backend == "thread":
-            def work(args):
-                group, grng = args
-                model, opt = self._fresh_model_and_optimizer()
-                return self._run_one_group(
-                    group,
-                    grng,
-                    model,
-                    opt,
-                    parent_span_id=round_span_id,
-                    start_params=start_params,
-                )
-
-            results = self._pmap.map(work, list(zip(selected, group_rngs)))
-        else:
-            # Process pool: the dataset/model factory already live in
-            # the workers (one-time registration); ship only the small
-            # per-round deltas (group ops are rebuilt in the worker;
-            # spans stay parent-side). With shared memory, the start
-            # params go out and the group models come back through shm
-            # rings — each task pickle carries two ~100-byte slot
-            # descriptors instead of two P-sized float64 arrays.
-            channel = self._shm_channel()
-            if channel is not None:
-                params_ref: np.ndarray | ShmView = channel.publish_params(
-                    start_params
-                )
-                slots: list[ShmView | None] = channel.result_slots(
-                    len(selected)
-                )
-            else:
-                params_ref = start_params
-                slots = [None] * len(selected)
-            tasks = [
-                self._group_task(g, r, global_params=params_ref, result=s)
-                for g, r, s in zip(selected, group_rngs, slots)
-            ]
-            results = self._pmap.map(_process_group_worker, tasks)
-            if channel is not None:
-                # Workers signalled the zero-copy path with None params;
-                # copy their slots out of the ring so a later dispatch
-                # (same round or next) can reuse it safely.
-                results = [
-                    (
-                        np.array(channel.result_array(i))
-                        if params is None
-                        else params,
-                        events,
-                    )
-                    for i, (params, events) in enumerate(results)
-                ]
-        return results
+        """Train ``selected`` from ``start_params`` on the configured
+        backend: one ``(group_params, fault_events)`` pair per group, in
+        order. Clustered trainers call this once per cluster."""
+        return self.executor.execute(
+            selected, group_rngs, start_params, self.round_idx, round_span_id
+        )
 
     def _train_selected(
         self,
@@ -1111,18 +756,11 @@ class GroupFELTrainer:
                     self.groups = self.population_engine.groups
                     self.sampler = self._make_sampler()
                     self._on_groups_changed()
-                if (
-                    pop_step.data_changed
-                    and self._pmap.backend == "process"
-                    and not self._columnar
-                ):
-                    # Label drift mutated client shards; pool workers hold
-                    # pickled copies and must be re-shipped the new data.
-                    # (Columnar runs skip this: each round's tasks carry
-                    # freshly-materialized views of the drifted store.)
-                    self._pmap.register_worker_state(
-                        self._worker_token, self._worker_context()
-                    )
+                if pop_step.data_changed and not self._columnar:
+                    # Label drift mutated client shards; process workers
+                    # hold copies. (Columnar runs skip this: each round's
+                    # tasks carry fresh views of the drifted store.)
+                    self.executor.refresh(self._group_runner())
                 self.history.extra["population_active"].append(
                     self.population_engine.num_active
                 )
@@ -1221,12 +859,12 @@ class GroupFELTrainer:
         Restores every piece of evolving state — model, RNG streams
         (including spawn counters), strategy state, history, ledger, fault
         trace, sampler — so continuing :meth:`run` reproduces the
-        uninterrupted run bit for bit on any backend. On the ``process``
-        backend the worker pool's one-time state is re-registered so pool
-        workers see the restored strategy/compressor state too.
+        uninterrupted run bit for bit on any backend, whichever backend
+        wrote the checkpoint.
 
         With ``strict`` (default) the checkpoint's recorded config
-        fingerprint must match this trainer's config exactly.
+        fingerprint must match this trainer's config in every field that
+        can change a result (see :func:`repro.checkpoint.config_fingerprint`).
         """
         path = os.fspath(path)
         if os.path.isdir(path):
@@ -1240,25 +878,22 @@ class GroupFELTrainer:
             if strict:
                 saved = header.get("config")
                 current = config_fingerprint(self.config, grouper=self.grouper)
-                if saved is not None and saved != current:
-                    diverged = sorted(
-                        k
-                        for k in set(saved) | set(current)
-                        if saved.get(k) != current.get(k)
-                    )
+                # Compared on this trainer's fingerprint keys: names only the
+                # checkpoint carries are execution-only or retired fields.
+                diverged = sorted(
+                    k for k in current if saved and saved.get(k) != current[k]
+                )
+                if diverged:
                     raise CheckpointError(
                         f"checkpoint {path!r} was written under a different "
                         f"config (fields {diverged}); resuming it would break "
                         "deterministic replay — pass strict=False to override"
                     )
             restore_state(self, state)
-            if self._pmap.backend == "process":
-                # The restore replaced strategy/compressor/fault state; the
-                # pool's registered worker context must follow or workers
-                # would train against the pre-crash state.
-                self._pmap.register_worker_state(
-                    self._worker_token, self._worker_context()
-                )
+            # The restore replaced strategy/compressor/fault state; the
+            # runner (and the copy pool workers hold) must follow or groups
+            # would train against the pre-crash state.
+            self.executor.refresh(self._group_runner())
         return self
 
     def _record_checkpoint(self, budget: float | None, final: bool = False) -> None:

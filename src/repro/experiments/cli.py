@@ -103,7 +103,7 @@ def main(argv: list[str] | None = None) -> int:
         "--parallel",
         metavar="BACKEND[:N]",
         default=None,
-        help="run group rounds on one shared persistent worker pool: "
+        help="run group rounds on one shared worker pool: "
         "'serial', 'thread', 'process', optionally with a worker count "
         "(e.g. 'process:4'). Every trainer the target constructs reuses "
         "the pool; it is closed when the run finishes.",
@@ -135,13 +135,6 @@ def main(argv: list[str] | None = None) -> int:
         help="overlap each round's evaluation and checkpoint write with the "
         "next round's group compute on a background thread; histories and "
         "checkpoints stay bit-identical to the synchronous schedule",
-    )
-    parser.add_argument(
-        "--no-shared-memory",
-        action="store_true",
-        help="process backend only: disable the shared-memory rings that "
-        "carry global params and group results, falling back to per-task "
-        "pickles (the pre-fix dispatch path; useful for debugging)",
     )
     parser.add_argument(
         "--checkpoint-dir",
@@ -249,16 +242,10 @@ def main(argv: list[str] | None = None) -> int:
     # the telemetry instance / fault plan / shared worker pool without the
     # generators knowing about any of them.
     with ExitStack() as stack:
-        if (
-            args.engine
-            or args.pipeline_rounds
-            or args.no_shared_memory
-            or args.sampling_scheme
-        ):
+        if args.engine or args.pipeline_rounds or args.sampling_scheme:
             stack.enter_context(engine_overrides_activated(
                 engine=args.engine,
                 pipeline_rounds=args.pipeline_rounds or None,
-                shared_memory=False if args.no_shared_memory else None,
                 sampling_scheme=args.sampling_scheme,
             ))
         if telemetry is not None:

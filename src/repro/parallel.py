@@ -20,9 +20,7 @@ A :class:`ParallelMap` is a **long-lived** object: the executor is created
 lazily on the first pooled :meth:`map` call and then reused by every
 subsequent call until :meth:`close` (or the ``with`` block) shuts it down.
 Per-round pool startup — historically the dominant dispatch cost — is paid
-once per pool lifetime. Constructing with ``persistent=False`` restores the
-old build-map-teardown behaviour; the scaling benchmark uses it as the
-pre-change baseline.
+once per pool lifetime.
 
 Worker state
 ------------
@@ -145,11 +143,6 @@ class ParallelMap:
         Worker count for pooled backends. Defaults to ``os.cpu_count()``
         capped at 8 (group counts per round are small; more workers only add
         startup cost — profile before raising, per the optimization guide).
-    persistent:
-        When True (default), the executor is created on first use and
-        reused across ``map`` calls until :meth:`close`. When False, a
-        fresh executor is built and torn down around every pooled call —
-        the pre-persistent-pool behaviour, kept as a benchmark baseline.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; defaults to the
         ambient instance. Records the ``pool.*`` counters described in the
@@ -160,7 +153,6 @@ class ParallelMap:
         self,
         backend: str = "serial",
         max_workers: int | None = None,
-        persistent: bool = True,
         telemetry: Telemetry | None = None,
     ):
         if backend not in _BACKENDS:
@@ -171,20 +163,20 @@ class ParallelMap:
         if max_workers < 1:
             raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.max_workers = max_workers
-        self.persistent = bool(persistent)
         self.telemetry = resolve_telemetry(telemetry)
         self._executor: Executor | None = None
         self._state: dict[str, Any] = {}
         self._closed = False
         self._lock = threading.Lock()
         #: executors built over this object's lifetime (1 after any number
-        #: of persistent ``map`` calls; grows per call when persistent=False)
+        #: of ``map`` calls; each ``register_worker_state`` on a live
+        #: process pool adds one)
         self.pools_created = 0
 
     # ------------------------------------------------------------ lifecycle
     @property
     def has_live_pool(self) -> bool:
-        """True while a (persistent) executor is alive."""
+        """True while an executor is alive."""
         return self._executor is not None
 
     def _new_executor(self) -> Executor:
@@ -290,15 +282,7 @@ class ParallelMap:
         items = list(items)
         if self.backend == "serial" or not items:
             return [fn(item) for item in items]
-        if self.persistent:
-            return self._dispatch(self._ensure_executor(), fn, items)
-        ex = self._new_executor()
-        try:
-            return self._dispatch(ex, fn, items)
-        finally:
-            ex.shutdown(wait=True)
-
-    def _dispatch(self, ex: Executor, fn, items: list) -> list:
+        ex = self._ensure_executor()
         tel = self.telemetry
         t0 = time.perf_counter()
         futures = [ex.submit(fn, item) for item in items]
@@ -315,8 +299,8 @@ class ParallelMap:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "closed" if self._closed else ("live" if self.has_live_pool else "idle")
         return (
-            f"ParallelMap(backend={self.backend!r}, max_workers={self.max_workers}, "
-            f"persistent={self.persistent}, {state})"
+            f"ParallelMap(backend={self.backend!r}, "
+            f"max_workers={self.max_workers}, {state})"
         )
 
 

@@ -7,7 +7,8 @@ global parameter vector out to every worker, and each group's result
 vector back. Both are fixed-size float64 vectors — exactly what POSIX
 shared memory is for.
 
-This module provides the primitives the trainer builds its dispatch on:
+This module provides the primitives :mod:`repro.core.executor` builds its
+process-backend dispatch on:
 
 * :class:`ShmView` — a tiny picklable descriptor (segment name, offset,
   length). A task carries the descriptor; the worker resolves it to a
@@ -16,7 +17,7 @@ This module provides the primitives the trainer builds its dispatch on:
 * :class:`ShmRing` — a parent-owned ring of fixed-size float64 slots in
   one shared segment, with unlink-on-GC so crashed runs don't leak
   ``/dev/shm`` segments.
-* :class:`ShmChannel` — the trainer-facing pairing: a 2-slot global-params
+* :class:`ShmChannel` — the executor-facing pairing: a 2-slot global-params
   ring (double-buffered so a pipelined round t+1 can publish while round
   t's segment views are still alive) and a grow-on-demand results ring
   with one slot per in-flight group task.
@@ -27,9 +28,9 @@ resource-tracker over-tracking of attached segments on Python < 3.13
 when the *worker* exits — out from under the parent): ``track=False``
 where available, else an explicit ``resource_tracker.unregister``.
 
-Everything degrades gracefully: if shared memory is unavailable (no
-``/dev/shm``, permissions), :func:`shm_available` reports False and the
-trainer falls back to per-task pickles with identical semantics.
+There is no second wire protocol: where a segment cannot be created (no
+``/dev/shm``, permissions) the constructors raise ``OSError`` and the
+executor turns that into an error pointing at the thread backend.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from multiprocessing import shared_memory
 
 import numpy as np
 
-__all__ = ["ShmView", "ShmRing", "ShmChannel", "shm_available"]
+__all__ = ["ShmView", "ShmRing", "ShmChannel"]
 
 _FLOAT = np.float64
 _ITEMSIZE = 8
@@ -76,20 +77,6 @@ def _attach(name: str) -> shared_memory.SharedMemory:
                 pass
         _ATTACHED[name] = seg
     return seg
-
-
-def shm_available() -> bool:
-    """True when shared-memory segments can actually be created here."""
-    try:
-        probe = shared_memory.SharedMemory(create=True, size=_ITEMSIZE)
-    except Exception:
-        return False
-    probe.close()
-    try:
-        probe.unlink()
-    except Exception:
-        pass
-    return True
 
 
 @dataclass(frozen=True)
@@ -174,7 +161,7 @@ class ShmRing:
 
 
 class ShmChannel:
-    """Round-dispatch buffers for one trainer: params out, results back.
+    """Round-dispatch buffers for one executor: params out, results back.
 
     ``publish_params`` double-buffers the global parameter vector (two
     slots, alternating per round) so a new round's publish never scribbles

@@ -16,7 +16,14 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.checkpoint import CheckpointError, CheckpointPolicy, checkpointing_activated
+from repro.checkpoint import (
+    CheckpointError,
+    CheckpointPolicy,
+    capture_state,
+    checkpointing_activated,
+    config_fingerprint,
+    write_checkpoint,
+)
 from repro.core.callbacks import Callback
 from repro.core.strategies import ScaffoldStrategy
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
@@ -206,13 +213,29 @@ class TestResumePooledBackends:
         resumed = _make_trainer(
             small_fed, small_edges, backend="process", max_rounds=4
         )
-        # parallel_backend is part of the config fingerprint; the switch is
-        # intentional here, so opt out of the strict match.
-        resumed.load_checkpoint(
-            tmp_path / "ck" / "ckpt_round_000002.ckpt", strict=False
-        )
+        resumed.load_checkpoint(tmp_path / "ck" / "ckpt_round_000002.ckpt")
         history, signature, digest = _finish(resumed)
         assert (history, signature, digest) == golden
+
+    @pytest.mark.slow
+    def test_process_checkpoint_resumes_strictly_on_serial(
+        self, small_fed, small_edges, tmp_path
+    ):
+        """Regression: the fingerprint used to hash ``parallel_backend`` (and
+        the other execution-only fields), so ``strict=True`` refused the
+        resume the contract promises is bit-identical on any backend."""
+        golden = _finish(_make_trainer(small_fed, small_edges, max_rounds=4))
+        _finish(
+            _make_trainer(
+                small_fed, small_edges, backend="process", max_rounds=4,
+                checkpoint_dir=tmp_path / "ck",
+            )
+        )
+        resumed = _make_trainer(small_fed, small_edges, max_rounds=4)
+        resumed.load_checkpoint(
+            tmp_path / "ck" / "ckpt_round_000002.ckpt", strict=True
+        )
+        assert _finish(resumed) == golden
 
 
 class TestGuards:
@@ -229,6 +252,29 @@ class TestGuards:
         # strict=False overrides explicitly.
         divergent.load_checkpoint(tmp_path / "ck", strict=False)
         assert divergent.round_idx == 2
+        divergent.close()
+
+    def test_fingerprint_written_before_the_execution_fields_left_it_loads(
+        self, small_fed, small_edges, tmp_path
+    ):
+        """Older checkpoints recorded ``parallel_backend`` / ``engine`` /
+        ``shared_memory`` / ``pipeline_rounds`` too; those names are ignored
+        on the saved side, everything else is still compared."""
+        trainer = _make_trainer(small_fed, small_edges, max_rounds=1)
+        _finish(trainer)
+        legacy = {
+            **config_fingerprint(trainer.config),
+            "parallel_backend": "process", "engine": "reference",
+            "shared_memory": False, "pipeline_rounds": True,
+        }
+        meta = {"label": "ckpt-test", "round_idx": 1, "config": legacy}
+        write_checkpoint(tmp_path / "old.ckpt", capture_state(trainer), meta=meta)
+        resumed = _make_trainer(small_fed, small_edges, max_rounds=1)
+        assert resumed.load_checkpoint(tmp_path / "old.ckpt").round_idx == 1
+        resumed.close()
+        divergent = _make_trainer(small_fed, small_edges, max_rounds=1, lr=0.01)
+        with pytest.raises(CheckpointError, match=r"\['lr'\]"):
+            divergent.load_checkpoint(tmp_path / "old.ckpt")
         divergent.close()
 
     def test_load_from_empty_directory(self, small_fed, small_edges, tmp_path):

@@ -90,19 +90,16 @@ class TestEngineFlags:
         from repro.core.trainer import TrainerConfig, engine_overrides_activated
 
         cfg = TrainerConfig()
-        with engine_overrides_activated(
-            engine="reference", pipeline_rounds=True, shared_memory=False
-        ):
+        with engine_overrides_activated(engine="reference", pipeline_rounds=True):
             assert trainer_mod._active_engine_overrides == {
                 "engine": "reference",
                 "pipeline_rounds": True,
-                "shared_memory": False,
             }
         # The block is the whole lifetime; outside, nothing lingers and the
         # caller's config object was never mutated.
         assert trainer_mod._active_engine_overrides is None
         assert cfg.engine == "auto"
-        assert cfg.shared_memory and not cfg.pipeline_rounds
+        assert not cfg.pipeline_rounds
 
     def test_trainer_picks_up_overrides(self, small_fed, small_edges):
         import functools
@@ -127,7 +124,8 @@ class TestEngineFlags:
         try:
             assert trainer.config.engine == "reference"
             assert trainer.config.pipeline_rounds is True
-            assert trainer.config.shared_memory is True  # untouched knob
+            # untouched knob
+            assert trainer.config.sampling_scheme == "sequential_wor"
             assert cfg.engine == "auto"  # caller's object not mutated
         finally:
             trainer.close()
@@ -142,7 +140,7 @@ class TestEngineFlags:
         import repro.core.trainer as trainer_mod
 
         assert main(["fig5", "--scale", "fast", "--engine", "reference",
-                     "--pipeline-rounds", "--no-shared-memory"]) == 0
+                     "--pipeline-rounds"]) == 0
         capsys.readouterr()
         assert trainer_mod._active_engine_overrides is None
 

@@ -18,6 +18,7 @@ from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.costs import paper_cost_model
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
+from repro.secure.backdoor import BackdoorDetector
 
 BACKENDS = ["serial", "thread", "process"]
 
@@ -25,7 +26,11 @@ BACKENDS = ["serial", "thread", "process"]
 model_fn = functools.partial(make_mlp, 192, 10, seed=0)
 
 
-def _run(small_fed, small_edges, backend: str, faults=None):
+def _run(
+    small_fed, small_edges, backend: str, faults=None, secagg=None,
+    backdoor_detector=None, **config,
+):
+    """(params SHA, fault-trace signature, ledger total) of one seeded run."""
     groups = group_clients_per_edge(
         CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
     )
@@ -37,10 +42,12 @@ def _run(small_fed, small_edges, backend: str, faults=None):
         # catch state leaking between groups.
         momentum=0.9, weight_decay=1e-4,
         seed=7, parallel_backend=backend,
-        use_secure_aggregation=faults is not None, faults=faults,
+        use_secure_aggregation=faults is not None if secagg is None else secagg,
+        faults=faults, **config,
     )
     trainer = GroupFELTrainer(
-        model_fn, small_fed, groups, cfg, paper_cost_model()
+        model_fn, small_fed, groups, cfg, paper_cost_model(),
+        backdoor_detector=backdoor_detector,
     )
     try:
         trainer.run()
@@ -49,13 +56,13 @@ def _run(small_fed, small_edges, backend: str, faults=None):
     digest = hashlib.sha256(
         np.ascontiguousarray(trainer.global_params).tobytes()
     ).hexdigest()
-    return digest, trainer.fault_trace.signature()
+    return digest, trainer.fault_trace.signature(), trainer.ledger.total
 
 
 @pytest.mark.slow
 def test_backends_bit_identical_without_faults(small_fed, small_edges):
     results = {b: _run(small_fed, small_edges, b) for b in BACKENDS}
-    hashes = {digest for digest, _ in results.values()}
+    hashes = {r[0] for r in results.values()}
     assert len(hashes) == 1, f"model hashes diverge: {results}"
 
 
@@ -63,10 +70,30 @@ def test_backends_bit_identical_without_faults(small_fed, small_edges):
 def test_backends_bit_identical_with_faults(small_fed, small_edges):
     spec = "dropout:0.35@after,straggler:0.5:0.5,loss:0.2,groupfail:0.1"
     results = {b: _run(small_fed, small_edges, b, faults=spec) for b in BACKENDS}
-    hashes = {digest for digest, _ in results.values()}
-    signatures = {sig for _, sig in results.values()}
+    hashes = {r[0] for r in results.values()}
+    signatures = {r[1] for r in results.values()}
     assert len(hashes) == 1, f"model hashes diverge: {results}"
     assert len(signatures) == 1, f"fault traces diverge: {results}"
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("defense_flag", [True, False])
+def test_backends_run_the_trainers_own_group_operations(
+    small_fed, small_edges, defense_flag
+):
+    """Regression: process workers used to rebuild the group operations from
+    config flags, so a ``backdoor_detector=`` instance ran on serial and
+    thread while process ran a default detector — or, with
+    ``use_backdoor_defense=False``, none at all."""
+    results = {
+        b: _run(
+            small_fed, small_edges, b, faults="dropout:0.2@after", secagg=True,
+            use_backdoor_defense=defense_flag,
+            backdoor_detector=BackdoorDetector(criterion="split"),
+        )
+        for b in BACKENDS
+    }
+    assert len(set(results.values())) == 1, f"backends diverge: {results}"
 
 
 def test_serial_and_thread_agree_fast(small_fed, small_edges):

@@ -1,19 +1,26 @@
-"""Persistent-pool lifecycle: executor reuse, one-time worker init,
-worker-state registration, close semantics, and the trainer-level
-guarantees built on top (dataset shipped once per pool lifetime, live
-telemetry for single-group rounds, faulted replay on a persistent pool).
+"""Pool lifecycle: executor reuse, one-time worker init, worker-state
+registration, close semantics, and the guarantees ``repro.core.executor``
+builds on top (dataset shipped once per pool lifetime, dataset-free task
+pickles, live telemetry for single-group rounds, faulted replay on a
+process pool, loud failure when a worker dies).
 """
 
 from __future__ import annotations
 
 import functools
+import gc
 import hashlib
+import os
 import pickle
+import signal
+import threading
+import weakref
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 
-from repro.core.trainer import GroupFELTrainer, TrainerConfig, _GroupTask
+from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.data.client_data import ClientDataset
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
@@ -37,7 +44,22 @@ def _lookup_state(token):
     return worker_state(token)["value"]
 
 
-def _make_trainer(small_fed, small_edges, backend="process", faults=None, **cfg_kw):
+def _model_fn_fatal_in_workers():
+    """Builds the model in the parent; a pool worker calling it dies the way
+    an OOM-killed worker does — mid-round, without unwinding."""
+    if worker_init_count() > 0:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return model_fn()
+
+
+def _shm_segments():
+    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+
+
+def _make_trainer(
+    small_fed, small_edges, backend="process", faults=None, parallel=None,
+    model_fn=model_fn, **cfg_kw,
+):
     groups = group_clients_per_edge(
         CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
     )
@@ -47,7 +69,9 @@ def _make_trainer(small_fed, small_edges, backend="process", faults=None, **cfg_
     )
     defaults.update(cfg_kw)
     cfg = TrainerConfig(**defaults)
-    return GroupFELTrainer(model_fn, small_fed, groups, cfg)
+    return GroupFELTrainer(
+        model_fn, small_fed, groups, cfg, label="pool-test", parallel=parallel
+    )
 
 
 class TestPoolLifecycle:
@@ -175,13 +199,6 @@ class TestPoolLifecycle:
         with pytest.raises(RuntimeError, match="closed"):
             pm.register_worker_state("tok", 1)
 
-    def test_nonpersistent_pool_built_per_call(self):
-        with ParallelMap("process", max_workers=2, persistent=False) as pm:
-            for _ in range(3):
-                assert pm.map(_square, [2]) == [4]
-            assert pm.pools_created == 3
-            assert not pm.has_live_pool
-
     def test_serial_backend_never_builds_a_pool(self):
         with ParallelMap("serial") as pm:
             assert pm.map(_square, [3]) == [9]
@@ -214,11 +231,7 @@ class TestTrainerPoolIntegration:
             ClientDataset, "__getstate__", counting_getstate, raising=False
         )
         pm = ParallelMap("process", max_workers=2)
-        trainer = _make_trainer(small_fed, small_edges, "process")
-        trainer._pmap.close()  # replace the own pool with the instrumented one
-        trainer._pmap = pm
-        trainer._owns_pool = False
-        pm.register_worker_state(trainer._worker_token, trainer._worker_context())
+        trainer = _make_trainer(small_fed, small_edges, "process", parallel=pm)
         try:
             trainer.train_round()
             after_first = pickles["n"]
@@ -238,13 +251,22 @@ class TestTrainerPoolIntegration:
     ):
         trainer = _make_trainer(small_fed, small_edges, "process")
         try:
-            group = trainer.groups[0]
-            task = trainer._group_task(group, trainer.rng.spawn(1)[0])
-            assert isinstance(task, _GroupTask)
-            payload = pickle.dumps(task)
-            assert b"ClientDataset" not in payload
+            sent = []
+            pmap = trainer.executor.pmap
+            real_map = pmap.map
+
+            def recording_map(fn, tasks):
+                sent.extend(tasks)
+                return real_map(fn, tasks)
+
+            pmap.map = recording_map
+            trainer.train_round()
+            assert len(sent) == 2
             dataset_bytes = len(pickle.dumps(small_fed.clients))
-            assert len(payload) < dataset_bytes / 10
+            for task in sent:
+                payload = pickle.dumps(task)
+                assert b"ClientDataset" not in payload
+                assert len(payload) < dataset_bytes / 10
         finally:
             trainer.close()
 
@@ -274,7 +296,7 @@ class TestTrainerPoolIntegration:
         assert tel.metrics.counter("client_updates").value > 0
         assert tel.metrics.counter("secagg_calls").value > 0
         # The serial path never needed (or built) the pool.
-        assert trainer._pmap.pools_created == 0
+        assert trainer.executor.pmap.pools_created == 0
 
     def test_faulted_replay_serial_vs_persistent_process_pool(
         self, small_fed, small_edges
@@ -299,14 +321,14 @@ class TestTrainerPoolIntegration:
 
     def test_trainer_owns_and_closes_its_pool(self, small_fed, small_edges):
         trainer = _make_trainer(small_fed, small_edges, "process", max_rounds=1)
-        assert trainer._owns_pool
+        assert trainer.executor.owns_pool
         trainer.run()
-        assert trainer._pmap.has_live_pool
+        assert trainer.executor.pmap.has_live_pool
         trainer.close()
         trainer.close()  # idempotent
-        assert not trainer._pmap.has_live_pool
+        assert not trainer.executor.pmap.has_live_pool
         with pytest.raises(RuntimeError, match="closed"):
-            trainer._pmap.map(_square, [1, 2])
+            trainer.executor.pmap.map(_square, [1, 2])
 
     def test_ambient_pool_is_picked_up_and_left_open(
         self, small_fed, small_edges
@@ -314,14 +336,81 @@ class TestTrainerPoolIntegration:
         with ParallelMap("thread", max_workers=2) as pm:
             with parallel_activated(pm):
                 trainer = _make_trainer(small_fed, small_edges, "thread")
-                assert trainer._pmap is pm
-                assert not trainer._owns_pool
+                assert trainer.executor.pmap is pm
+                assert not trainer.executor.owns_pool
                 trainer.run()
                 trainer.close()
             # closing the trainer must not close the shared pool
             assert pm.map(_square, [5]) == [25]
 
+    def test_dropped_trainer_is_freed_without_a_gc_pass(
+        self, small_fed, small_edges
+    ):
+        """The executor must not point back at its trainer: a cycle would
+        keep every dropped trainer — and its dataset — alive until the
+        collector runs, which the round ledger sees as peak RSS."""
+        trainer = _make_trainer(small_fed, small_edges, "thread", max_rounds=1)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            trainer.run()
+            trainer.close()
+            gone = weakref.ref(trainer)
+            del trainer
+            assert gone() is None
+        finally:
+            if was_enabled:
+                gc.enable()
+
     def test_context_manager_closes(self, small_fed, small_edges):
         with _make_trainer(small_fed, small_edges, "thread", max_rounds=1) as t:
             t.run()
-        assert not t._pmap.has_live_pool
+        assert not t.executor.pmap.has_live_pool
+
+
+class TestExecutorFailurePaths:
+    def test_killed_worker_fails_the_run_and_leaks_no_segment(
+        self, small_fed, small_edges
+    ):
+        """A worker SIGKILLed mid-round must surface from ``run()`` at once
+        — no hang, no partial round — and ``close()`` must still unlink every
+        shared-memory segment the run created."""
+        before = _shm_segments()
+        trainer = _make_trainer(
+            small_fed, small_edges, "process",
+            model_fn=_model_fn_fatal_in_workers,
+        )
+        outcome = []
+
+        def run():
+            try:
+                trainer.run()
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                outcome.append(exc)
+
+        runner = threading.Thread(target=run)
+        runner.start()
+        runner.join(timeout=60)
+        try:
+            assert not runner.is_alive(), "run() hung after a worker died"
+            assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
+            assert trainer.round_idx == 0  # the broken round never counted
+            assert _shm_segments() - before  # the round did open segments
+        finally:
+            trainer.close()
+        assert _shm_segments() <= before
+
+    def test_broken_pool_error_names_trainer_and_round(
+        self, small_fed, small_edges
+    ):
+        trainer = _make_trainer(small_fed, small_edges, "process")
+        try:
+            def broken_map(fn, tasks):
+                raise BrokenProcessPool("a child process terminated abruptly")
+
+            trainer.executor.pmap.map = broken_map
+            trainer.round_idx = 4
+            with pytest.raises(RuntimeError, match=r"'pool-test'.*round 4"):
+                trainer.train_round()
+        finally:
+            trainer.close()

@@ -2,9 +2,10 @@
 
 The rings are plain POSIX shared memory: a ``ShmView`` pickles to ~100
 bytes and resolves to a live float64 view in any process that maps the
-segment. The trainer integration (descriptors riding ``_GroupTask``) is
-covered by the backend-determinism and trainer tests; here we pin the
-primitives themselves plus the graceful-fallback contract.
+segment. The executor integration (descriptors riding each process-pool
+task) is covered by the backend-determinism and pool tests; here we pin the
+primitives themselves plus the fail-fast contract when a segment cannot be
+created.
 """
 
 from __future__ import annotations
@@ -15,13 +16,13 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from repro.shm import ShmChannel, ShmRing, ShmView, shm_available
+from repro.shm import ShmChannel, ShmRing
 
 
 def test_shm_available_here():
     # The suite's process-backend tests rely on it; surface loudly if the
     # environment can't do shared memory at all.
-    assert shm_available()
+    ShmRing(slot_len=1, slots=1).close()
 
 
 class TestShmRing:
@@ -159,22 +160,23 @@ class TestCrossProcess:
             ring.close()
 
 
-class TestTrainerFallback:
-    def test_channel_failure_falls_back_to_pickles(
+class TestTrainerChannel:
+    def test_channel_failure_raises_named_error(
         self, small_fed, small_edges, monkeypatch
     ):
+        """No silent switch to another wire protocol: the error carries the
+        OS error and points at the backend that needs no shared memory."""
         import functools
 
-        import repro.core.trainer as trainer_mod
+        import repro.core.executor as executor_mod
         from repro.core.trainer import GroupFELTrainer, TrainerConfig
         from repro.grouping import CoVGrouping, group_clients_per_edge
         from repro.nn import make_mlp
 
-        class Boom:
-            def __init__(self, *a, **k):
-                raise OSError("no shm here")
+        def no_shm(num_params):
+            raise FileNotFoundError(2, "No such file or directory: '/dev/shm'")
 
-        monkeypatch.setattr(trainer_mod, "ShmChannel", Boom)
+        monkeypatch.setattr(executor_mod, "ShmChannel", no_shm)
         groups = group_clients_per_edge(
             CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
         )
@@ -184,36 +186,16 @@ class TestTrainerFallback:
         )
         trainer = GroupFELTrainer(
             functools.partial(make_mlp, 192, 10, seed=0),
-            small_fed, groups, cfg,
+            small_fed, groups, cfg, label="no-shm",
         )
         try:
-            with pytest.warns(RuntimeWarning, match="falls back"):
+            with pytest.raises(RuntimeError) as err:
                 trainer.run()
-            assert trainer._shm is None
-            assert len(trainer.history.rounds) >= 1
-        finally:
-            trainer.close()
-
-    def test_config_flag_disables_channel(self, small_fed, small_edges):
-        import functools
-
-        from repro.core.trainer import GroupFELTrainer, TrainerConfig
-        from repro.grouping import CoVGrouping, group_clients_per_edge
-        from repro.nn import make_mlp
-
-        groups = group_clients_per_edge(
-            CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
-        )
-        cfg = TrainerConfig(
-            max_rounds=1, group_rounds=1, local_rounds=1, num_sampled=2,
-            seed=5, parallel_backend="process", shared_memory=False,
-        )
-        trainer = GroupFELTrainer(
-            functools.partial(make_mlp, 192, 10, seed=0),
-            small_fed, groups, cfg,
-        )
-        try:
-            trainer.run()
-            assert trainer._shm is None
+            message = str(err.value)
+            assert "'no-shm'" in message
+            assert "FileNotFoundError" in message and "/dev/shm" in message
+            assert "parallel_backend='thread'" in message
+            assert isinstance(err.value.__cause__, FileNotFoundError)
+            assert not trainer.history.rounds
         finally:
             trainer.close()
