@@ -14,7 +14,7 @@ everyone else, and manipulate their updates (or their data) before upload.
   global model misclassifies *triggered* inputs while clean accuracy
   stays high.
 
-``poison_federation`` wraps selected clients of a FederatedDataset;
+``poison_federation`` poisons selected clients of a population store in place;
 ``attack_success_rate`` measures the backdoor's effect.
 """
 

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.data.client_data import ClientDataset, FederatedDataset
+from repro.data.client_data import ClientDataset
+from repro.data.store import ColumnarPopulation
 from repro.nn.model import Model
 from repro.rng import make_rng
 
@@ -153,12 +154,18 @@ class TriggerBackdoorAttack(Attack):
 
 
 def poison_federation(
-    fed: FederatedDataset,
+    fed: ColumnarPopulation,
     attacker_ids: list[int],
     attack: Attack,
     rng: np.random.Generator | int | None = None,
 ) -> dict[int, Attack]:
     """Apply an attack's data poisoning to the chosen clients, in place.
+
+    The poisoned samples are written through the store's views, so every
+    later ``materialize`` — what the trainer trains on — sees them. ``fed.L``
+    is left alone: it stays the histogram the client *reported* before
+    poisoning (groups formed afterwards are unchanged), so a poisoned store
+    deliberately fails ``check_invariants()``.
 
     Returns ``{client_id: attack}`` — the update-transform map the trainer
     consumes (model-poisoning attacks act there even with clean data).
@@ -167,9 +174,11 @@ def poison_federation(
     for cid in attacker_ids:
         if not 0 <= cid < fed.num_clients:
             raise ValueError(f"attacker id {cid} out of range")
-        fed.clients[cid] = attack.poison_data(
-            fed.clients[cid], fed.num_classes, rng=rng.spawn(1)[0]
+        poisoned = attack.poison_data(
+            fed.materialize([cid])[int(cid)], fed.num_classes, rng=rng.spawn(1)[0]
         )
+        np.copyto(fed.client_features(cid), poisoned.x)
+        np.copyto(fed.client_labels(cid), poisoned.y)
     return {int(cid): attack for cid in attacker_ids}
 
 

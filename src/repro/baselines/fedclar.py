@@ -26,7 +26,7 @@ from scipy.cluster.hierarchy import fcluster, linkage
 from scipy.spatial.distance import squareform
 
 from repro.core.client import run_local_rounds
-from repro.core.trainer import GroupFELTrainer, TrainerConfig
+from repro.core.trainer import GroupFELTrainer
 from repro.grouping.base import Group
 from repro.secure.backdoor import BackdoorDetector
 
@@ -71,7 +71,7 @@ class FedCLARTrainer(GroupFELTrainer):
         n = self.fed.num_clients
         updates = np.empty((n, self.global_params.shape[0]))
         rng = self.rng.spawn(1)[0]
-        for cid, client in enumerate(self.fed.clients):
+        for cid, client in self.fed.materialize(range(n)).items():
             end, _ = run_local_rounds(
                 self.model,
                 self.optimizer,
@@ -109,22 +109,13 @@ class FedCLARTrainer(GroupFELTrainer):
 
         # Post-clustering: every cluster trains its own model on its members.
         assert self.cluster_groups is not None
-        from repro.core.group import run_group_round
-
+        round_events = []
         for cid, group in self.cluster_groups.items():
-            self.cluster_models[cid] = run_group_round(
-                self.model,
-                self.optimizer,
-                group,
-                self.fed.clients,
-                self.cluster_models[cid],
-                group_rounds=self.config.group_rounds,
-                local_rounds=self.config.local_rounds,
-                batch_size=self.config.batch_size,
-                rng=self.rng.spawn(1)[0],
-                strategy=self.strategy,
-                step_mode=self.config.step_mode,
+            self.cluster_models[cid], events = self.executor.runner.run(
+                group, self.rng.spawn(1)[0], self.cluster_models[cid], self.round_idx
             )
+            round_events.extend(events)
+        self._meter_faults(round_events)
         cost = self.ledger.charge_round(
             list(self.cluster_groups.values()),
             self.config.group_rounds,

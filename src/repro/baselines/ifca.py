@@ -85,7 +85,7 @@ class IFCATrainer(GroupFELTrainer):
     def _group_loss(self, group: Group, params: np.ndarray) -> float:
         """Data-weighted mean member loss of ``group`` under ``params``."""
         self.model.set_params(params)
-        clients = self._clients_for(group)
+        clients = self.fed.materialize(group.members)
         loss = 0.0
         total = 0
         for cid in group.members:

@@ -23,7 +23,7 @@ from repro.core.strategies import (
 )
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.costs.model import CostModel
-from repro.data.client_data import FederatedDataset
+from repro.data.store import FederatedDataset
 from repro.grouping import (
     CDGGrouping,
     CoVGrouping,

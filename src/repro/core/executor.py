@@ -11,8 +11,8 @@ under ``core/``. :class:`GroupExecutor` decides *where* it is invoked:
 * ``process`` — in pool workers, against a telemetry-free copy of the
   runner registered once per pool lifetime, so a task carries only a token,
   the group, its RNG and two :class:`repro.shm.ShmView` descriptors (start
-  model out, group model back). Columnar populations add the group's
-  freshly materialized clients, so label drift needs no re-shipping there.
+  model out, group model back) — never client data; the trainer refreshes
+  the executor when drift mutates the population the workers hold.
 
 Results come back in submission order on every backend, so aggregation
 order — and with it every float — is the same wherever the groups ran.
@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from repro.core.strategies import LocalStrategy
+from repro.data.store import ColumnarPopulation
 from repro.faults import FaultEvent, FaultPlan
 from repro.grouping.base import Group
 from repro.nn.optim import SGD
@@ -70,9 +71,8 @@ class GroupRunner:
     compressor: object = None
     attackers: dict | None = None
     fault_plan: FaultPlan | None = None
-    #: the full client list (object path) or None (columnar path — each
-    #: call then brings the group's materialized clients)
-    clients: list | None = None
+    #: where each group's members are materialized from
+    population: ColumnarPopulation | None = None
     telemetry: Telemetry = NULL_TELEMETRY
 
     def detached(self) -> "GroupRunner":
@@ -92,7 +92,6 @@ class GroupRunner:
         rng: np.random.Generator,
         start_params: np.ndarray,
         round_idx: int,
-        clients=None,
         parent_span_id: int | None = None,
     ) -> GroupResult:
         """Train ``group`` for one global round from ``start_params``, on a
@@ -113,7 +112,7 @@ class GroupRunner:
             model,
             optimizer,
             group,
-            self.clients if clients is None else clients,
+            self.population.materialize(group.members),
             start_params,
             group_rounds=cfg.group_rounds,
             local_rounds=cfg.local_rounds,
@@ -140,7 +139,7 @@ class GroupRunner:
 def _run_in_worker(task: tuple) -> list[FaultEvent]:
     """Pool-worker entry (module-level: picklable). The group model is
     written to the task's result slot; only the fault events pickle back."""
-    token, group, rng, start, round_idx, clients, slot = task
+    token, group, rng, start, round_idx, slot = task
     runner: GroupRunner = worker_state(token)
     if runner.compressor is not None:
         # The registered runner outlives the task: ErrorFeedback residuals
@@ -148,7 +147,7 @@ def _run_in_worker(task: tuple) -> list[FaultEvent]:
         runner = replace(runner, compressor=copy.deepcopy(runner.compressor))
     # Zero-copy receive: run_group_round copies the start vector at once,
     # so the view never outlives its ring slot.
-    params, events = runner.run(group, rng, start.resolve(), round_idx, clients)
+    params, events = runner.run(group, rng, start.resolve(), round_idx)
     slot.resolve()[:] = params
     return events
 
@@ -159,9 +158,8 @@ class GroupExecutor:
     The pool is an explicit shared ``parallel`` > the ambient one
     (``repro.parallel.activated``) > a fresh pool on ``backend`` that this
     executor owns and shuts down in :meth:`close`; shared pools are left
-    open. ``materialize`` (columnar populations only) maps a group's member
-    ids to its clients. ``label`` is the trainer's, named in errors and in
-    the worker-state token. Holds no reference back to the trainer, so a
+    open. ``label`` is the trainer's, named in errors and in the
+    worker-state token. Holds no reference back to the trainer, so a
     dropped trainer (and its dataset) is freed without a GC pass.
     """
 
@@ -171,7 +169,6 @@ class GroupExecutor:
         *,
         parallel: ParallelMap | None = None,
         backend: str = "serial",
-        materialize: Callable | None = None,
         label: str = "group-fel",
     ):
         shared = parallel if parallel is not None else get_active()
@@ -181,7 +178,6 @@ class GroupExecutor:
             self.pmap = ParallelMap(backend, telemetry=runner.telemetry)
         self.label = label
         self.token = f"executor/{label}/{next(_TOKENS)}"
-        self._materialize = materialize
         #: shared-memory rings, created by the first process-pool dispatch
         self._channel: ShmChannel | None = None
         self._closed = False
@@ -235,16 +231,11 @@ class GroupExecutor:
         Shared-memory results are copied out of the ring, so a caller may
         dispatch several times per round (clustered trainers do)."""
         runner = self.runner
-        materialize = self._materialize
-
-        def clients_of(group: Group):
-            return None if materialize is None else materialize(group.members)
 
         def run_here(item) -> GroupResult:
             group, rng = item
             return runner.run(
-                group, rng, start_params, round_idx, clients_of(group),
-                parent_span_id=round_span_id,
+                group, rng, start_params, round_idx, parent_span_id=round_span_id
             )
 
         items = list(zip(selected, rngs))
@@ -261,7 +252,7 @@ class GroupExecutor:
         start = channel.publish_params(start_params)
         slots = channel.result_slots(len(items))
         tasks = [
-            (self.token, group, rng, start, round_idx, clients_of(group), slot)
+            (self.token, group, rng, start, round_idx, slot)
             for (group, rng), slot in zip(items, slots)
         ]
         try:

@@ -40,7 +40,7 @@ from repro.core.group import run_group_round  # noqa: F401
 from repro.core.strategies import LocalStrategy, PlainSGDStrategy
 from repro.costs.ledger import CostLedger
 from repro.costs.model import CostModel, LinearCost, QuadraticCost
-from repro.data.client_data import FederatedDataset
+from repro.data.store import ColumnarPopulation
 from repro.faults import FaultEvent, FaultPlan, FaultTrace, get_active_plan
 from repro.grouping.base import Group, Grouper, group_clients_per_edge
 from repro.metrics.history import TrainingHistory
@@ -48,7 +48,6 @@ from repro.nn.model import Model
 from repro.nn.optim import SGD
 from repro.parallel import ParallelMap, available_backends
 from repro.population import (
-    ColumnarPopulation,
     PopulationEngine,
     PopulationModel,
     PopulationTrace,
@@ -248,13 +247,10 @@ class GroupFELTrainer:
         needed per parallel worker; the serial path builds one). Must be
         picklable (a module-level function) for the ``process`` backend.
     fed:
-        The federated dataset (clients, shards, global test set) — either
-        a :class:`FederatedDataset` or a data-bearing
-        :class:`repro.population.ColumnarPopulation`
-        (``fed.to_columnar()``). The columnar path materializes only the
-        sampled ~S·|g| clients per round as zero-copy views and is
-        bit-identical to the object path on every backend
-        (``tests/population/test_columnar_equivalence.py``).
+        The client population with its global test set: a data-bearing
+        :class:`repro.data.ColumnarPopulation`, usually built by
+        :class:`repro.data.FederatedDataset`. Each round materializes
+        only the sampled ~S·|g| clients, as zero-copy views.
     groups:
         The formed groups G (from ``group_clients_per_edge``).
     config:
@@ -304,7 +300,7 @@ class GroupFELTrainer:
     def __init__(
         self,
         model_fn,
-        fed: FederatedDataset,
+        fed: ColumnarPopulation,
         groups: list[Group],
         config: TrainerConfig | None = None,
         cost_model: CostModel | None = None,
@@ -326,14 +322,11 @@ class GroupFELTrainer:
         self.telemetry = resolve_telemetry(telemetry)
         self.model_fn = model_fn
         self.fed = fed
-        #: columnar populations materialize clients lazily per round; the
-        #: object path ships the full client list into workers once.
-        self._columnar = isinstance(fed, ColumnarPopulation)
-        if self._columnar and not fed.has_data:
+        if not fed.has_data:
             raise ValueError(
-                "cannot train on a metadata-only ColumnarPopulation — build "
-                "it from a FederatedDataset (fed.to_columnar()) so clients "
-                "can be materialized"
+                "cannot train on a metadata-only ColumnarPopulation — give "
+                "it train_x / train_y / sample_offsets (or build it with "
+                "FederatedDataset) so clients can be materialized"
             )
         self.groups = list(groups)
         self.config = config or TrainerConfig()
@@ -484,7 +477,6 @@ class GroupFELTrainer:
             self._group_runner(),
             parallel=parallel,
             backend=self.config.parallel_backend,
-            materialize=fed.materialize if self._columnar else None,
             label=label,
         )
 
@@ -528,7 +520,7 @@ class GroupFELTrainer:
             compressor=self.compressor,
             attackers=self.attackers,
             fault_plan=self.fault_plan,
-            clients=None if self._columnar else self.fed.clients,
+            population=self.fed,
             telemetry=self.telemetry,
         )
 
@@ -635,10 +627,9 @@ class GroupFELTrainer:
         weights = weights[alive] * (weights.sum() / weights[alive].sum())
         return survivors, weights, events
 
-    def _meter_faults(self, events: list[FaultEvent]) -> float:
-        """Record events in the trace + telemetry; returns their delay sum."""
-        if not events:
-            return 0.0
+    def _meter_faults(self, events: list[FaultEvent]) -> None:
+        """Record one round's fault events: the trace, telemetry and, under
+        a fault plan, the ledger's and history's per-round overhead series."""
         self.fault_trace.extend(events)
         delay = 0.0
         tel = self.telemetry
@@ -655,16 +646,11 @@ class GroupFELTrainer:
                 tel.observe("faults.retries", float(e.retries))
             if e.delay_s:
                 tel.observe("faults.delay_s", e.delay_s)
-        return delay
+        if self.fault_plan is not None:
+            self.ledger.record_fault_overhead(delay, len(events))
+            self.history.extra["fault_delay_s"].append(delay)
 
     # ------------------------------------------------------------------ training
-    def _clients_for(self, group: Group):
-        """What ``run_group_round`` indexes member ids into: the full list
-        (object path) or just this group's materialized views (columnar)."""
-        if self._columnar:
-            return self.fed.materialize(group.members)
-        return self.fed.clients
-
     def _execute_groups(
         self,
         selected: list[Group],
@@ -756,10 +742,8 @@ class GroupFELTrainer:
                     self.groups = self.population_engine.groups
                     self.sampler = self._make_sampler()
                     self._on_groups_changed()
-                if pop_step.data_changed and not self._columnar:
-                    # Label drift mutated client shards; process workers
-                    # hold copies. (Columnar runs skip this: each round's
-                    # tasks carry fresh views of the drifted store.)
+                if pop_step.data_changed:
+                    # Drift mutated the store; process workers hold copies.
                     self.executor.refresh(self._group_runner())
                 self.history.extra["population_active"].append(
                     self.population_engine.num_active
@@ -784,14 +768,11 @@ class GroupFELTrainer:
             self._train_selected(
                 selected, weights, group_rngs, round_span_id, round_events
             )
-            fault_delay = self._meter_faults(round_events)
+            self._meter_faults(round_events)
             self.strategy.after_global_round()
             cost = self.ledger.charge_round(
                 selected, self.config.group_rounds, self.config.local_rounds
             )
-            if self.fault_plan is not None:
-                self.ledger.record_fault_overhead(fault_delay, len(round_events))
-                self.history.extra["fault_delay_s"].append(fault_delay)
             if self.wallclock is not None:
                 extra = None
                 if round_events:

@@ -19,8 +19,14 @@ from repro.data.partition import (
     normal_client_sizes,
     partition_dataset,
 )
-from repro.data.client_data import ClientDataset, FederatedDataset
+from repro.data.client_data import ClientDataset
 from repro.data.skew import quantity_skew_partition, shard_partition
+from repro.data.store import (
+    ColumnarPopulation,
+    FederatedDataset,
+    group_label_counts,
+    spawn_keys,
+)
 
 __all__ = [
     "ArrayDataset",
@@ -33,6 +39,9 @@ __all__ = [
     "partition_dataset",
     "ClientDataset",
     "FederatedDataset",
+    "ColumnarPopulation",
+    "group_label_counts",
+    "spawn_keys",
     "shard_partition",
     "quantity_skew_partition",
 ]

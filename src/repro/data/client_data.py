@@ -1,4 +1,4 @@
-"""Per-client dataset containers and the federated dataset bundle."""
+"""The per-client dataset view handed to local training."""
 
 from __future__ import annotations
 
@@ -7,11 +7,9 @@ from typing import Iterator
 
 import numpy as np
 
-from repro.data.datasets import ArrayDataset
-from repro.data.partition import label_matrix, partition_dataset
-from repro.rng import make_rng, spawn_many
+from repro.rng import make_rng
 
-__all__ = ["ClientDataset", "FederatedDataset"]
+__all__ = ["ClientDataset"]
 
 
 @dataclass
@@ -54,125 +52,3 @@ class ClientDataset:
         idx = rng.choice(self.n, size=min(batch_size, self.n) if not replace else batch_size,
                          replace=replace)
         return self.x[idx], self.y[idx]
-
-
-class FederatedDataset:
-    """The full federated learning data bundle.
-
-    Holds the global train/test arrays, the per-client shards, and the label
-    matrix L. Built either from explicit shards or via the one-call paper
-    setup (:meth:`from_dataset`).
-    """
-
-    def __init__(
-        self,
-        train: ArrayDataset,
-        test: ArrayDataset,
-        shards: list[np.ndarray],
-    ):
-        self.train = train
-        self.test = test
-        self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
-        self.num_classes = train.num_classes
-        self.L = label_matrix(self.shards, train.y, train.num_classes)
-        self.clients = [
-            ClientDataset(
-                client_id=i,
-                x=train.x[shard],
-                y=train.y[shard],
-                label_counts=self.L[i],
-            )
-            for i, shard in enumerate(self.shards)
-        ]
-
-    @classmethod
-    def from_dataset(
-        cls,
-        train: ArrayDataset,
-        test: ArrayDataset,
-        num_clients: int,
-        alpha: float,
-        size_low: int = 20,
-        size_high: int = 200,
-        rng: np.random.Generator | int | None = None,
-    ) -> "FederatedDataset":
-        """Paper setup: normal client sizes + Dirichlet(α) label skew."""
-        shards, _ = partition_dataset(
-            train, num_clients, alpha, size_low=size_low, size_high=size_high, rng=rng
-        )
-        return cls(train, test, shards)
-
-    @property
-    def num_clients(self) -> int:
-        return len(self.clients)
-
-    def client_sizes(self) -> np.ndarray:
-        """n_i for every client."""
-        return np.array([c.n for c in self.clients], dtype=np.int64)
-
-    def client_size(self, client_id: int) -> int:
-        """One client's n_i (representation-agnostic accessor — the
-        population engine uses this on either this class or a
-        :class:`repro.population.ColumnarPopulation`)."""
-        return self.clients[client_id].n
-
-    def client_labels(self, client_id: int) -> np.ndarray:
-        """One client's mutable label vector (label drift writes through
-        it; the columnar store exposes the same accessor as a view)."""
-        return self.clients[client_id].y
-
-    def client_features(self, client_id: int) -> np.ndarray:
-        """One client's mutable feature array (test-time corruption writes
-        through it; the columnar store exposes the same accessor as a
-        view)."""
-        return self.clients[client_id].x
-
-    def snapshot_shards(self, include_features: bool = False) -> dict:
-        """Copy the mutable per-client data (labels + L, optionally
-        features) so a sweep can restore pristine shards between methods.
-
-        The object path's per-client ``x``/``y`` are fancy-index *copies*
-        of the train arrays, so snapshotting the clients covers every
-        array a population dynamic mutates.
-        """
-        snap: dict = {
-            "L": self.L.copy(),
-            "y": [c.y.copy() for c in self.clients],
-        }
-        if include_features:
-            snap["x"] = [c.x.copy() for c in self.clients]
-        return snap
-
-    def restore_shards(self, snapshot: dict) -> None:
-        """Write a :meth:`snapshot_shards` copy back **in place** — through
-        ``np.copyto``, never rebinding, so every live view (each client's
-        ``label_counts`` aliases its L row) stays valid."""
-        np.copyto(self.L, snapshot["L"])
-        for client, y in zip(self.clients, snapshot["y"]):
-            np.copyto(client.y, y)
-        for client, x in zip(self.clients, snapshot.get("x", ())):
-            np.copyto(client.x, x)
-
-    def to_columnar(self, seed: int = 0):
-        """Snapshot into a :class:`repro.population.ColumnarPopulation`.
-
-        One re-layout copy here (per-client samples made contiguous, in
-        shard order, so values match ``self.clients`` exactly); after
-        that, materializing any client is a zero-copy view. The store is
-        independent of this dataset — drift in one never leaks into the
-        other.
-        """
-        from repro.population.store import ColumnarPopulation
-
-        return ColumnarPopulation.from_federated(self, seed=seed)
-
-    @property
-    def total_samples(self) -> int:
-        """The paper's n = Σ n_i."""
-        return int(self.client_sizes().sum())
-
-    def global_label_distribution(self) -> np.ndarray:
-        """Fraction of each label across all client shards."""
-        totals = self.L.sum(axis=0).astype(np.float64)
-        s = totals.sum()
-        return totals / s if s > 0 else totals

@@ -1,11 +1,7 @@
-"""`ColumnarPopulation` — the client population as columnar NumPy state.
+"""The client population: one columnar store, and its constructors.
 
-The array-of-struct representation (:class:`repro.data.client_data.
-FederatedDataset` holding one :class:`ClientDataset` object per client)
-caps realistic populations in the low thousands: every client object is
-built eagerly and, on the process backend, pickled into worker pools.
-This module is the struct-of-array twin — one store holds the whole
-population as a handful of flat arrays:
+:class:`ColumnarPopulation` is the only population class. It holds every
+client as rows of a handful of flat arrays:
 
 * ``L``            — the label-count matrix (int64, |K| × m), the *only*
   per-client information grouping is allowed to see (§5.1);
@@ -15,26 +11,19 @@ population as a handful of flat arrays:
   the store seed), so client-local randomness can be derived without
   materializing anything;
 * ``unit_costs`` / ``latency_s`` — per-client cost/latency calibration
-  hooks consumed by the vectorized accounting paths.
+  hooks consumed by the vectorized accounting paths;
+* the training samples, when present, in two shared arrays laid out
+  contiguously per client (CSR-style ``sample_offsets``).
 
-Training data, when present, lives in two shared arrays laid out
-contiguously per client (CSR-style ``sample_offsets``), so
-:meth:`materialize` hands out :class:`ClientDataset` **views** — zero
-copies — for exactly the ~S·|g| clients sampled into a round. Stores
-built by :meth:`synthetic` carry no data at all: grouping, sampling, and
-accounting at |K| ~ 10⁶ never touch a client object.
-
-Equivalence contract: a store built from a :class:`FederatedDataset` via
-``fed.to_columnar()`` sees byte-identical per-client sample values in the
-same order, so grouping partitions, sampling probabilities, Γ_p,
-population replay signatures, and trained parameters match the object
-path bit for bit (``tests/population/test_columnar_equivalence.py``).
-
-Memory model: materialized clients are views into the store's shared
-arrays. Label drift writes *through* those views (clients own disjoint
-ranges), which is exactly how the population engine keeps ``y`` and the
-client's L row consistent. Checkpoint resume therefore needs a store
-rebuilt over pristine data — the same caveat as the object path.
+:meth:`~ColumnarPopulation.materialize` hands out :class:`ClientDataset`
+**views** — zero copies — for exactly the ~S·|g| clients sampled into a
+round; label drift and corruption write *through* those views (clients
+own disjoint ranges), which is how ``y`` and the client's L row stay
+consistent, and why checkpoint resume needs a store rebuilt over pristine
+data. Stores built by :meth:`~ColumnarPopulation.synthetic` carry no
+samples at all: grouping, sampling, and accounting at |K| ~ 10⁶ never
+touch a client object. :class:`FederatedDataset` builds the store from a
+train set and per-client shard indices.
 """
 
 from __future__ import annotations
@@ -42,9 +31,11 @@ from __future__ import annotations
 import numpy as np
 
 from repro.data.client_data import ClientDataset
+from repro.data.datasets import ArrayDataset
+from repro.data.partition import label_matrix, partition_dataset
 from repro.grouping.base import Group
 
-__all__ = ["ColumnarPopulation", "group_label_counts", "spawn_keys"]
+__all__ = ["ColumnarPopulation", "FederatedDataset", "group_label_counts", "spawn_keys"]
 
 
 def spawn_keys(seed: int, count: int) -> np.ndarray:
@@ -178,30 +169,6 @@ class ColumnarPopulation:
 
     # ------------------------------------------------------------ constructors
     @classmethod
-    def from_federated(cls, fed, seed: int = 0) -> "ColumnarPopulation":
-        """Snapshot a :class:`FederatedDataset` into columnar form.
-
-        Per-client samples are re-laid-out contiguously (one copy, here,
-        once) in shard order — byte-identical values per client to the
-        object path — after which every materialization is a view. The
-        store's arrays are independent of ``fed``'s: drift applied to one
-        representation never leaks into the other.
-        """
-        offsets = np.zeros(fed.num_clients + 1, dtype=np.int64)
-        np.cumsum([c.n for c in fed.clients], out=offsets[1:])
-        train_x = np.concatenate([c.x for c in fed.clients], axis=0)
-        train_y = np.concatenate([c.y for c in fed.clients], axis=0)
-        return cls(
-            fed.L,
-            train_x=train_x,
-            train_y=train_y,
-            sample_offsets=offsets,
-            test=fed.test,
-            seed=seed,
-            name=f"columnar({getattr(fed.train, 'name', 'fed')})",
-        )
-
-    @classmethod
     def synthetic(
         cls,
         num_clients: int,
@@ -260,7 +227,7 @@ class ColumnarPopulation:
 
     def __repr__(self) -> str:
         return (
-            f"ColumnarPopulation({self.name!r}, clients={self.num_clients}, "
+            f"{type(self).__name__}({self.name!r}, clients={self.num_clients}, "
             f"classes={self.num_classes}, active={self.num_active()}, "
             f"data={'yes' if self.has_data else 'no'})"
         )
@@ -270,8 +237,8 @@ class ColumnarPopulation:
         if not self.has_data:
             raise ValueError(
                 f"{self.name!r} is a metadata-only population (no sample "
-                "arrays); build it via ColumnarPopulation.from_federated / "
-                "FederatedDataset.to_columnar to materialize clients"
+                "arrays); pass train_x / train_y / sample_offsets, or build "
+                "it with FederatedDataset, to materialize clients"
             )
 
     def client_size(self, client_id: int) -> int:
@@ -391,3 +358,50 @@ class ColumnarPopulation:
                 )
             if not np.array_equal(hist, self.L):
                 raise AssertionError("L diverged from the per-client label data")
+
+
+class FederatedDataset(ColumnarPopulation):
+    """The store built from a train set and per-client shard indices
+    (explicit ``shards``, or the one-call paper setup :meth:`from_dataset`).
+
+    The shards are laid out contiguously once; every accessor is the
+    store's. ``train`` and ``shards`` keep the source, and ``clients`` is
+    the full list of materialized views, for callers that index clients
+    directly (theory estimators, fairness reports).
+    """
+
+    def __init__(self, train: ArrayDataset, test: ArrayDataset, shards: list[np.ndarray]):
+        self.train = train
+        self.shards = [np.asarray(s, dtype=np.int64) for s in shards]
+        order = np.concatenate(self.shards)
+        offsets = np.cumsum([0, *(s.size for s in self.shards)])
+        super().__init__(
+            label_matrix(self.shards, train.y, train.num_classes),
+            train_x=train.x[order], train_y=train.y[order], sample_offsets=offsets,
+            test=test, name=f"federated({train.name})",
+        )
+        self.clients = list(self.materialize(range(self.num_clients)).values())
+
+    @classmethod
+    def from_dataset(
+        cls,
+        train: ArrayDataset,
+        test: ArrayDataset,
+        num_clients: int,
+        alpha: float,
+        size_low: int = 20,
+        size_high: int = 200,
+        rng: np.random.Generator | int | None = None,
+    ) -> "FederatedDataset":
+        """Paper setup: normal client sizes + Dirichlet(α) label skew."""
+        shards, _ = partition_dataset(
+            train, num_clients, alpha, size_low=size_low, size_high=size_high, rng=rng
+        )
+        return cls(train, test, shards)
+
+    def __reduce__(self):
+        # What crosses a process pool is the store alone — not the source
+        # train set and the view list a second and third time.
+        extras = ("train", "shards", "clients")
+        state = {k: v for k, v in self.__dict__.items() if k not in extras}
+        return ColumnarPopulation.__new__, (ColumnarPopulation,), state

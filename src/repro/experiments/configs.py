@@ -21,7 +21,7 @@ import numpy as np
 from repro.core.trainer import TrainerConfig
 from repro.costs.calibration import paper_cost_model
 from repro.costs.model import CostModel
-from repro.data.client_data import FederatedDataset
+from repro.data.store import FederatedDataset
 from repro.data.datasets import SyntheticAudio, SyntheticImage
 from repro.nn import make_audio_cnn, make_mlp, make_resnet_lite
 from repro.rng import derive_seed, make_rng

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.data.client_data import ClientDataset, FederatedDataset
+from repro.data.client_data import ClientDataset
 from repro.grouping.base import Group
 from repro.nn.model import Model
 

@@ -15,6 +15,7 @@ Enable it with ``TrainerConfig(population="start:0.7,join:1,leave:0.02")``
 ``population=`` parameter, or the CLI's ``--population SPEC``.
 """
 
+from repro.data.store import ColumnarPopulation, group_label_counts, spawn_keys
 from repro.population.dynamics import (
     CORRUPTION_MODES,
     DRIFT_MODES,
@@ -30,12 +31,12 @@ from repro.population.dynamics import (
 )
 from repro.population.engine import PopulationEngine, PopulationStep
 from repro.population.maintenance import OnlineGroupMaintainer
-from repro.population.store import ColumnarPopulation, group_label_counts
 from repro.population.trace import PopulationEvent, PopulationTrace
 
 __all__ = [
     "ColumnarPopulation",
     "group_label_counts",
+    "spawn_keys",
     "DRIFT_MODES",
     "CORRUPTION_MODES",
     "InitialActive",

@@ -45,8 +45,8 @@ class PopulationStep:
 
     ``groups_changed`` ⇒ the partition or any group's counts changed, so
     sampling probabilities and Eq. (4) weights must be recomputed;
-    ``data_changed`` ⇒ client training data mutated (process-pool worker
-    state must be re-shipped).
+    ``data_changed`` ⇒ client training data mutated (process-pool workers
+    hold a stale copy of the store).
     """
 
     events: list[PopulationEvent] = field(default_factory=list)
@@ -77,12 +77,9 @@ class PopulationEngine:
         self.maintainer = OnlineGroupMaintainer(
             grouper, fed.L, edge_of, groups=groups, telemetry=self.telemetry
         )
-        self.active = model.initial_active(pool)
-        # A columnar store tracks its own active mask; share one array so
-        # store-level introspection always reflects the engine's state.
-        adopt = getattr(fed, "adopt_active", None)
-        if adopt is not None:
-            self.active = adopt(self.active)
+        # One shared array, so store-level introspection always reflects
+        # the engine's state.
+        self.active = fed.adopt_active(model.initial_active(pool))
         if not self.active.all():
             # A seeded initial subset: deterministic from-scratch partition
             # of just the active clients (keyed off the model seed, so the
@@ -172,13 +169,7 @@ class PopulationEngine:
     def _apply_drift(
         self, index: int, dyn, round_idx: int, cid: int
     ) -> PopulationEvent | None:
-        """Relabel a seeded subset of the client's samples in place.
-
-        Representation-agnostic: ``client_labels``/``client_size`` resolve
-        to the object path's per-client arrays or the columnar store's
-        shared-array views, so the mutation (and hence the replay
-        signature) is identical either way.
-        """
+        """Relabel a seeded subset of the client's samples in place."""
         num_classes = self.fed.num_classes
         num, offset, indices = self.model.drift_sample(
             index, dyn, round_idx, cid, self.fed.client_size(cid), num_classes
@@ -293,10 +284,7 @@ class PopulationEngine:
                 self.fed.L[e.client_id],
                 np.bincount(y, minlength=num_classes).astype(np.int64),
             )
-        self.active = np.asarray(state["active"], dtype=bool).copy()
-        adopt = getattr(self.fed, "adopt_active", None)
-        if adopt is not None:
-            self.active = adopt(self.active)
+        self.active = self.fed.adopt_active(state["active"])
         self._num_active = int(self.active.sum())
         trace = PopulationTrace()
         trace.extend(events)

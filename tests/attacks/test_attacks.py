@@ -13,7 +13,7 @@ from repro.attacks import (
     poison_federation,
 )
 from repro.core import GroupFELTrainer, TrainerConfig
-from repro.data import FederatedDataset, SyntheticImage
+from repro.data import ColumnarPopulation, FederatedDataset, SyntheticImage
 from repro.grouping import RandomGrouping, group_clients_per_edge
 from repro.nn import make_mlp
 from repro.secure import BackdoorDetector
@@ -82,6 +82,33 @@ class TestPoisonFederation:
         fed = make_fed()
         with pytest.raises(ValueError):
             poison_federation(fed, [99], LabelFlipAttack())
+
+    def test_trainer_sees_the_poison(self):
+        """The poison lands in the store: the client list and the next
+        ``materialize`` (what a group round trains on) both show it."""
+        fed = make_fed()
+        before, reported = fed.client_labels(2).copy(), fed.L[2].copy()
+        poison_federation(fed, [2], LabelFlipAttack(), rng=0)
+        flipped = (before + 1) % 10
+        np.testing.assert_array_equal(fed.clients[2].y, flipped)
+        np.testing.assert_array_equal(fed.materialize([2])[2].y, flipped)
+        # L keeps the histogram the client reported before poisoning.
+        np.testing.assert_array_equal(fed.L[2], reported)
+        with pytest.raises(AssertionError, match="L diverged"):
+            fed.check_invariants()
+
+    def test_works_on_a_bare_store(self):
+        fed = make_fed()
+        store = ColumnarPopulation(
+            fed.L, train_x=fed._train_x.copy(), train_y=fed._train_y.copy(),
+            sample_offsets=fed._offsets, test=fed.test,
+        )
+        attack = TriggerBackdoorAttack(target_class=3, poison_fraction=0.5)
+        poison_federation(store, [4], attack, rng=1)
+        poison_federation(fed, [4], attack, rng=1)
+        np.testing.assert_array_equal(store.client_labels(4), fed.client_labels(4))
+        np.testing.assert_array_equal(store.client_features(4), fed.client_features(4))
+        assert (store.client_labels(4) == 3).sum() >= store.client_size(4) // 2
 
 
 class TestDefenseCatchesModelPoisoning:

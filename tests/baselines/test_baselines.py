@@ -5,6 +5,7 @@ import pytest
 
 from repro.baselines import METHODS, FedCLARTrainer, build_method
 from repro.core import TrainerConfig
+from repro.data import ColumnarPopulation
 from repro.costs import paper_cost_model
 from repro.grouping import (
     CDGGrouping,
@@ -104,6 +105,47 @@ class TestFedCLAR:
         history = self.make(small_fed, small_edges).run()
         assert history.rounds[-1] == 5
         assert all(np.isfinite(history.test_acc))
+
+    def test_runs_on_a_bare_store(self, small_fed, small_edges):
+        """Clustering and the per-cluster rounds read clients from the
+        store, so a bare ``ColumnarPopulation`` trains exactly like the
+        ``FederatedDataset`` it shares arrays with."""
+        store = ColumnarPopulation(
+            small_fed.L, train_x=small_fed._train_x, train_y=small_fed._train_y,
+            sample_offsets=small_fed._offsets, test=small_fed.test,
+        )
+        on_store = self.make(store, small_edges)
+        on_fed = self.make(small_fed, small_edges)
+        assert on_store.run().test_acc == on_fed.run().test_acc
+        assert on_store.cluster_models.keys() == on_fed.cluster_models.keys()
+        for c, params in on_fed.cluster_models.items():
+            np.testing.assert_array_equal(on_store.cluster_models[c], params)
+        assert on_store.ledger.total == on_fed.ledger.total
+
+    def test_cluster_rounds_run_the_configured_group_operations(
+        self, small_fed, small_edges
+    ):
+        """Post-clustering rounds go through the trainer's runner, so SecAgg
+        and the fault plan (both dropped by the old hand-rolled
+        ``run_group_round`` call) are on."""
+        groups = group_clients_per_edge(
+            RandomGrouping(3), small_fed.L, small_edges, rng=0
+        )
+        trainer = FedCLARTrainer(
+            MODEL_FN, small_fed, groups,
+            cfg(max_rounds=3, use_secure_aggregation=True,
+                faults="straggler:1.0:2.0"),
+            cluster_round=1, num_clusters=3,
+        )
+        calls = []
+        real = trainer.secure_aggregator.aggregate_weighted
+        trainer.secure_aggregator.aggregate_weighted = (
+            lambda *a, **kw: calls.append(trainer.round_idx) or real(*a, **kw)
+        )
+        trainer.run()
+        assert {1, 2} <= set(calls)  # rounds after the clustering round
+        assert {e.round for e in trainer.fault_trace.events} == {0, 1, 2}
+        assert len(trainer.history.extra["fault_delay_s"]) == 3
 
     def test_validation(self, small_fed, small_edges):
         groups = group_clients_per_edge(

@@ -412,6 +412,21 @@ class TestSweepOrderIndependence:
         for cid, x in before.items():
             assert np.array_equal(wl.fed.clients[cid].x, x)
 
+    def test_drifting_sweep_leaves_the_store_byte_identical(self):
+        wl = tiny_workload()
+        before = wl.fed.snapshot_shards(include_features=True)
+        tel = Telemetry(label="drifting-sweep")
+        run_methods(
+            ["fedavg", "ifca"], wl, population="drift:0.4:0.5", max_rounds=2,
+            telemetry=tel,
+        )
+        assert tel.metrics.counter("population.drifts").value > 0
+        after = wl.fed.snapshot_shards(include_features=True)
+        assert before.keys() == after.keys()
+        for key in before:
+            assert before[key].tobytes() == after[key].tobytes(), key
+        wl.fed.check_invariants()
+
     @pytest.mark.slow
     def test_full_method_suite_order_independent(self):
         forward = self._sweep(ALL_METHODS, "drift:0.1")

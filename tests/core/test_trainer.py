@@ -10,6 +10,7 @@ from repro.core import (
     TrainerConfig,
 )
 from repro.costs import paper_cost_model
+from repro.data import ColumnarPopulation
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
 from repro.sampling import AggregationMode
@@ -31,6 +32,12 @@ def make_trainer(small_fed, small_edges, config=None, **kwargs):
 
 
 class TestTrainerBasics:
+    def test_metadata_only_store_rejected_at_construction(self, small_edges):
+        """No samples to materialize: fail before any round, naming the fix."""
+        store = ColumnarPopulation.synthetic(24, 10, seed=0)
+        with pytest.raises(ValueError, match="metadata-only.*train_x.*FederatedDataset"):
+            make_trainer(store, small_edges)
+
     def test_accuracy_improves(self, small_fed, small_edges):
         trainer = make_trainer(small_fed, small_edges)
         _, acc0 = trainer.evaluate()

@@ -1,9 +1,11 @@
 """Tests for ClientDataset and FederatedDataset."""
 
+import pickle
+
 import numpy as np
 import pytest
 
-from repro.data import ClientDataset, FederatedDataset, SyntheticImage
+from repro.data import ClientDataset, ColumnarPopulation, FederatedDataset, SyntheticImage
 
 
 @pytest.fixture(scope="module")
@@ -93,6 +95,37 @@ class TestFederatedDataset:
     def test_shards_index_into_train(self, fed):
         for shard, client in zip(fed.shards, fed.clients):
             assert np.allclose(fed.train.x[shard], client.x)
+
+    def test_clients_are_views_of_the_store(self, fed):
+        assert isinstance(fed, ColumnarPopulation)
+        for i in (0, 7, 19):
+            assert fed.clients[i].x.base is fed._train_x
+            assert fed.clients[i].label_counts.base is fed.L
+        original = fed.client_labels(7).copy()
+        fed.client_labels(7)[:] = (original + 1) % fed.num_classes
+        assert not np.array_equal(fed.clients[7].y, original)
+        np.testing.assert_array_equal(fed.clients[7].y, fed.client_labels(7))
+        np.testing.assert_array_equal(fed.materialize([7])[7].y, fed.clients[7].y)
+        fed.client_labels(7)[:] = original  # the fixture is shared
+
+    def test_inherits_every_accessor(self):
+        for name in (
+            "num_clients", "client_sizes", "client_size", "client_labels",
+            "client_features", "snapshot_shards", "restore_shards",
+            "total_samples", "global_label_distribution", "materialize",
+        ):
+            assert name not in vars(FederatedDataset), name
+
+    def test_pickles_as_the_bare_store(self, fed):
+        """What crosses a process pool: the store's arrays, once — not the
+        source train set and the client views again."""
+        payload = pickle.dumps(fed)
+        clone = pickle.loads(payload)
+        assert type(clone) is ColumnarPopulation
+        np.testing.assert_array_equal(clone.client_features(3), fed.client_features(3))
+        assert b"ClientDataset" not in payload
+        assert len(payload) < 1.2 * (fed._train_x.nbytes + fed._train_y.nbytes + fed.L.nbytes
+                                     + fed.test.x.nbytes + fed.test.y.nbytes)
 
     def test_explicit_shards_constructor(self):
         data = SyntheticImage(seed=1)

@@ -1,21 +1,10 @@
-"""Differential harness: the columnar population path is bit-identical to
-the object path.
+"""Golden test: formation → sampling → training → churn/drift → resume.
 
-PR 5/6 bought exactness guarantees (bit-identical partitions, exact
-integer moments, replayable population traces); the columnar store must
-not spend them. Every test here runs the same seeded pipeline — formation
-→ sampling → training rounds → churn/drift → checkpoint/resume — once
-over a :class:`FederatedDataset` (clients as objects) and once over its
-``to_columnar()`` store (clients as views materialized per round), and
-asserts the two runs agree **exactly**: partitions, p_g vectors, Γ_p,
-population replay signatures, and final global parameters, byte for byte.
-
-Label drift mutates shards in place, so every run builds fresh data.
-Serial and thread backends run in the fast suite; the process backend
-(worker pools, per-task pickling of materialized views) is ``slow``.
+GOLDEN (params ``b3d22b9a…9b9e61``, ledger 1843.0, trace ``d938a999…df5e38``) was
+recorded at commit ``8d8b814`` from the 6-round object-path run of the differential
+harness this file replaces. A ``FederatedDataset`` and a hand-built ``ColumnarPopulation``
+over the same arrays must both reproduce it, on every backend and across a checkpoint.
 """
-
-from __future__ import annotations
 
 import functools
 import hashlib
@@ -30,174 +19,87 @@ from repro.nn import make_mlp
 from repro.population import ColumnarPopulation, PopulationModel
 
 SPEC = "start:0.8,join:0.6,leave:0.05,drift:0.25:0.3@corr"
-NUM_CLIENTS = 16
+EDGES = [np.arange(0, 8), np.arange(8, 16)]
+model_fn = functools.partial(make_mlp, 192, 10, seed=0)  # picklable
+GOLDEN = {
+    "params": "b3d22b9a9c8895fb95e559af96f7c5b3ef3d9d0a1373264e32533abb989b9e61",
+    "partitions": [(0, 1, [13, 11, 9]), (1, 1, [15, 14, 8]), (2, 0, [0, 4, 3, 6])],
+    "p": "10dcc3f4edc3da3f8685243f5c99db3fd33c2f986b45c33f", "gamma_p": 11.352115597396946,
+    "trace": "d938a999696065e184075aa9b8e67305f81fad0d3e1d47f4a853562a80df5e38",
+    "sampled": [[0, 1], [1, 2], [1, 0], [1, 0], [1, 2], [0, 2]], "cost": 1843.0,
+}
+KINDS = ("federated", "hand_built")
 
-# Module-level so the process backend can pickle it.
-model_fn = functools.partial(make_mlp, 192, 10, seed=0)
 
-
-def _fresh_fed() -> FederatedDataset:
-    data = SyntheticImage(noise_std=2.0, seed=0)
-    train, test = data.train_test(2_000, 300)
-    return FederatedDataset.from_dataset(
-        train, test, num_clients=NUM_CLIENTS, alpha=0.1, size_low=15,
-        size_high=50, rng=11,
+def _make_trainer(kind, backend="serial", checkpoint_dir=None):
+    fed = FederatedDataset.from_dataset(  # fresh every call: drift mutates it in place
+        *SyntheticImage(noise_std=2.0, seed=0).train_test(2_000, 300),
+        num_clients=16, alpha=0.1, size_low=15, size_high=50, rng=11,
     )
-
-
-def _edges() -> list[np.ndarray]:
-    return [np.arange(0, 8), np.arange(8, 16)]
-
-
-def _make_trainer(
-    columnar: bool,
-    backend: str = "serial",
-    max_rounds: int = 3,
-    checkpoint_dir=None,
-):
-    fed = _fresh_fed()
-    rep = fed.to_columnar() if columnar else fed
-    edges = _edges()
+    if kind == "hand_built":  # the bare store's own constructor, over the same arrays
+        fed = ColumnarPopulation(fed.L, train_x=fed._train_x, train_y=fed._train_y,
+                                 sample_offsets=fed._offsets, test=fed.test)
     grouper = CoVGrouping(min_group_size=3, max_cov=0.6)
-    groups = group_clients_per_edge(grouper, rep.L, edges, rng=5)
     cfg = TrainerConfig(
-        max_rounds=max_rounds, group_rounds=1, local_rounds=1, num_sampled=2,
-        seed=3, parallel_backend=backend,
-        population=PopulationModel.from_spec(SPEC, seed=7),
+        max_rounds=6, group_rounds=1, local_rounds=1, num_sampled=2, seed=3,
+        parallel_backend=backend, population=PopulationModel.from_spec(SPEC, seed=7),
     )
     return GroupFELTrainer(
-        model_fn, rep, groups, cfg, grouper=grouper, edge_assignment=edges,
-        checkpoint_dir=checkpoint_dir,
+        model_fn, fed, group_clients_per_edge(grouper, fed.L, EDGES, rng=5), cfg,
+        grouper=grouper, edge_assignment=EDGES, checkpoint_dir=checkpoint_dir,
     )
 
 
-def _partitions(trainer) -> tuple:
-    return tuple(
-        (g.group_id, g.edge_id, tuple(int(c) for c in g.members))
-        for g in sorted(trainer.groups, key=lambda g: g.group_id)
-    )
-
-
-def _digest(trainer) -> dict:
-    """Everything the acceptance criteria pin, captured exactly."""
+def _finished(trainer) -> dict:
+    """Run to ``max_rounds`` and close; returns everything the harness pinned."""
+    with trainer as t:
+        t.run()
     return {
-        "params": hashlib.sha256(trainer.global_params.tobytes()).hexdigest(),
-        "partitions": _partitions(trainer),
-        "p": trainer.sampler.p.tobytes(),
-        "gamma_p": float(trainer.sampler.gamma_p()),
-        "trace": trainer.population_trace.signature(),
-        "sampled": [
-            [g.group_id for g in sel] for sel in trainer.sampled_history
-        ],
-        "cost": trainer.ledger.total,
+        "params": hashlib.sha256(t.global_params.tobytes()).hexdigest(),
+        "partitions": sorted((g.group_id, g.edge_id, g.members.tolist()) for g in t.groups),
+        "p": t.sampler.p.tobytes().hex(), "gamma_p": float(t.sampler.gamma_p()),
+        "trace": t.population_trace.signature(),
+        "sampled": [[g.group_id for g in sel] for sel in t.sampled_history], "cost": t.ledger.total,
     }
 
 
-def _run(columnar: bool, backend: str = "serial", max_rounds: int = 3) -> dict:
-    with _make_trainer(columnar, backend, max_rounds) as t:
-        t.run()
-        return _digest(t)
-
-
-class TestFormation:
-    def test_to_columnar_preserves_population_state(self):
-        fed = _fresh_fed()
-        store = fed.to_columnar()
-        assert store.num_clients == fed.num_clients
-        assert store.num_classes == fed.num_classes
-        assert store.total_samples == fed.total_samples
-        np.testing.assert_array_equal(store.L, fed.L)
-        np.testing.assert_array_equal(store.client_sizes(), fed.client_sizes())
-        for cid in range(fed.num_clients):
-            np.testing.assert_array_equal(
-                store.client_labels(cid), fed.client_labels(cid)
-            )
-
-    def test_partitions_identical_on_both_representations(self):
-        fed = _fresh_fed()
-        store = fed.to_columnar()
-        grouper = CoVGrouping(min_group_size=3, max_cov=0.6)
-        obj = group_clients_per_edge(grouper, fed.L, _edges(), rng=5)
-        col = group_clients_per_edge(grouper, store.L, _edges(), rng=5)
-        assert [tuple(g.members) for g in obj] == [tuple(g.members) for g in col]
-        for a, b in zip(obj, col):
-            np.testing.assert_array_equal(a.label_counts, b.label_counts)
-
-    def test_materialized_samples_match_object_clients(self):
-        fed = _fresh_fed()
-        store = fed.to_columnar()
-        views = store.materialize(range(fed.num_clients))
-        for cid, client in views.items():
-            np.testing.assert_array_equal(client.x, fed.clients[cid].x)
-            np.testing.assert_array_equal(client.y, fed.clients[cid].y)
-
-
 class TestTrainingEquivalence:
-    def test_serial(self):
-        assert _run(False, "serial") == _run(True, "serial")
+    def test_serial(self, backend="serial"):
+        for kind in KINDS:
+            assert _finished(_make_trainer(kind, backend)) == GOLDEN, kind
 
     def test_thread(self):
-        # Columnar+thread must match the object path's serial reference:
-        # cross-representation AND cross-backend in one comparison.
-        assert _run(False, "serial") == _run(True, "thread")
+        self.test_serial("thread")
 
     @pytest.mark.slow
     def test_process(self):
-        assert _run(False, "serial") == _run(True, "process")
-
-    @pytest.mark.slow
-    def test_object_path_all_backends_still_agree(self):
-        ref = _run(False, "serial")
-        assert ref == _run(False, "thread") == _run(False, "process")
+        self.test_serial("process")
 
 
 class TestResumeEquivalence:
+    def test_cross_representation_resume(self, tmp_path, first="federated", second="hand_built"):
+        with _make_trainer(first, checkpoint_dir=tmp_path) as t:
+            for _ in range(3):
+                t.train_round()
+            t.save_checkpoint()
+        resumed = _make_trainer(second, checkpoint_dir=tmp_path)  # fresh pristine data
+        resumed.load_checkpoint(tmp_path)
+        assert resumed.round_idx == 3
+        assert _finished(resumed) == GOLDEN
+
     def test_columnar_resume_matches_uninterrupted_object_run(self, tmp_path):
-        reference = _run(False, "serial", max_rounds=6)
-
-        with _make_trainer(True, max_rounds=6, checkpoint_dir=tmp_path) as t:
-            for _ in range(3):
-                t.train_round()
-            t.save_checkpoint()
-
-        # Fresh pristine store (drift replays onto it), then resume.
-        with _make_trainer(True, max_rounds=6, checkpoint_dir=tmp_path) as resumed:
-            resumed.load_checkpoint(tmp_path)
-            assert resumed.round_idx == 3
-            resumed.run()
-            assert _digest(resumed) == reference
-
-    def test_cross_representation_resume(self, tmp_path):
-        """A checkpoint written by the object path resumes on the columnar
-        path (and vice versa is implied by symmetry): the population replay
-        operates through the shared accessor surface."""
-        reference = _run(True, "serial", max_rounds=6)
-
-        with _make_trainer(False, max_rounds=6, checkpoint_dir=tmp_path) as t:
-            for _ in range(3):
-                t.train_round()
-            t.save_checkpoint()
-
-        with _make_trainer(True, max_rounds=6, checkpoint_dir=tmp_path) as resumed:
-            resumed.load_checkpoint(tmp_path)
-            resumed.run()
-            assert _digest(resumed) == reference
+        self.test_cross_representation_resume(tmp_path, "hand_built", "federated")
 
 
 class TestChurnStateSharing:
     def test_store_active_mask_tracks_engine(self):
-        with _make_trainer(True) as t:
-            t.run()
-            engine = t.population_engine
-            assert engine.active is t.fed.active  # one shared array
-            assert t.fed.num_active() == engine.num_active
+        for t in map(_make_trainer, KINDS):
+            _finished(t)
+            assert t.population_engine.active is t.fed.active  # one shared array
+            assert t.fed.num_active() == t.population_engine.num_active
 
     def test_drift_lands_in_store_arrays(self):
-        with _make_trainer(True, max_rounds=4) as t:
-            t.run()
-            drifted = {
-                e.client_id for e in t.population_trace.events
-                if e.kind == "drift"
-            }
-            assert drifted, "spec guarantees drift within 4 rounds"
+        for t in map(_make_trainer, KINDS):
+            _finished(t)
+            assert any(e.kind == "drift" for e in t.population_trace.events)
             t.fed.check_invariants()  # L/n/y never diverge under drift

@@ -16,13 +16,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.data import FederatedDataset, SyntheticImage
-from repro.grouping import CoVGrouping, Group, group_clients_per_edge
-from repro.population import ColumnarPopulation, group_label_counts
-from repro.population.store import spawn_keys
+from repro.grouping import CoVGrouping, group_clients_per_edge
+from repro.population import ColumnarPopulation, group_label_counts, spawn_keys
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def fed() -> FederatedDataset:
+    """A fresh store per test (several tests write through its views)."""
     data = SyntheticImage(seed=0)
     train, test = data.train_test(3_000, 300)
     return FederatedDataset.from_dataset(
@@ -30,21 +30,20 @@ def fed() -> FederatedDataset:
     )
 
 
-def _store(fed) -> ColumnarPopulation:
-    return fed.to_columnar()
-
-
 class TestConstruction:
     def test_layout(self, fed):
-        store = _store(fed)
+        store = fed
         assert store.L.dtype == np.int64
         assert store.n.dtype == np.int64
         assert store.active.dtype == np.bool_
         assert store.spawn_keys.dtype == np.uint64
-        assert store.L.shape == (fed.num_clients, fed.num_classes)
-        np.testing.assert_array_equal(store.n, store.L.sum(axis=1))
+        assert isinstance(store, ColumnarPopulation)
+        assert store.L.shape == (len(fed.shards), fed.train.num_classes)
+        np.testing.assert_array_equal(store.n, [s.size for s in fed.shards])
         np.testing.assert_allclose(
-            store.global_label_distribution(), fed.global_label_distribution()
+            store.global_label_distribution(),
+            np.bincount(fed.train.y[np.concatenate(fed.shards)], minlength=10)
+            / store.total_samples,
         )
 
     def test_spawn_keys_are_distinct_and_seed_dependent(self):
@@ -55,7 +54,7 @@ class TestConstruction:
         np.testing.assert_array_equal(a, spawn_keys(0, 4096))  # deterministic
 
     def test_offsets_must_match_row_sums(self, fed):
-        store = _store(fed)
+        store = fed
         bad = store._offsets.copy()
         bad[1] += 1
         with pytest.raises(ValueError, match="offsets"):
@@ -65,7 +64,7 @@ class TestConstruction:
             )
 
     def test_partial_data_arrays_rejected(self, fed):
-        store = _store(fed)
+        store = fed
         with pytest.raises(ValueError, match="together"):
             ColumnarPopulation(store.L, train_x=store._train_x)
 
@@ -80,7 +79,7 @@ class TestConstruction:
 
 class TestViews:
     def test_materialize_is_zero_copy(self, fed):
-        store = _store(fed)
+        store = fed
         views = store.materialize([0, 3, 7])
         for cid, client in views.items():
             assert client.x.base is store._train_x
@@ -89,7 +88,7 @@ class TestViews:
             assert client.n == store.client_size(cid)
 
     def test_view_writes_land_in_store(self, fed):
-        store = _store(fed)
+        store = fed
         client = store.materialize([2])[2]
         before = client.y.copy()
         client.y[:] = (client.y + 1) % store.num_classes
@@ -127,7 +126,7 @@ class TestSynthetic:
 
 class TestGroupLabelCounts:
     def test_matches_per_group_sums(self, fed):
-        store = _store(fed)
+        store = fed
         edges = [np.arange(0, 6), np.arange(6, 12)]
         groups = group_clients_per_edge(
             CoVGrouping(min_group_size=2, max_cov=0.8), store.L, edges, rng=0
@@ -139,13 +138,13 @@ class TestGroupLabelCounts:
             np.testing.assert_array_equal(row, g.label_counts)
 
     def test_accepts_raw_member_arrays(self, fed):
-        store = _store(fed)
+        store = fed
         counts = group_label_counts(store.L, [np.array([0, 1]), np.array([2])])
         np.testing.assert_array_equal(counts[0], store.L[[0, 1]].sum(axis=0))
         np.testing.assert_array_equal(counts[1], store.L[2])
 
     def test_empty_inputs(self, fed):
-        store = _store(fed)
+        store = fed
         assert group_label_counts(store.L, []).shape == (0, store.num_classes)
         with pytest.raises(ValueError, match="empty group"):
             group_label_counts(store.L, [np.array([], dtype=np.int64)])
@@ -169,7 +168,8 @@ class TestPropertyInvariants:
         fed = FederatedDataset.from_dataset(
             train, test, num_clients=8, alpha=0.3, size_low=5, size_high=20, rng=2
         )
-        store = fed.to_columnar()
+        store = fed
+        sizes = store.client_sizes()
         m = store.num_classes
         for op, sel, payload in ops:
             cid = sel % store.num_clients
@@ -192,7 +192,7 @@ class TestPropertyInvariants:
                 )
             store.check_invariants()
             # n_i is churn/drift-invariant: relabeling never changes sizes.
-            np.testing.assert_array_equal(store.n, fed.client_sizes())
+            np.testing.assert_array_equal(store.n, sizes)
             assert store.num_active() == int(store.active.sum())
 
     @given(st.integers(2, 40), st.integers(2, 15), st.integers(0, 2**31 - 1))
