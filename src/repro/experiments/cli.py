@@ -124,8 +124,9 @@ def main(argv: list[str] | None = None) -> int:
         default=None,
         help="how every trainer the target constructs draws S_t from p: "
         "'sequential_wor' (the paper's sequential renormalized draw; "
-        "unbiased weights divide by the exact inclusion probabilities "
-        "pi_g), 'multinomial' (with replacement — Eq. 4's S*p_g weights "
+        "unbiased/stabilized weights divide by the inclusion probabilities "
+        "pi_g, computed by deterministic quadrature and only in those "
+        "modes), 'multinomial' (with replacement — Eq. 4's S*p_g weights "
         "are exact here), or 'stratified' (one draw per p-mass-balanced "
         "stratum; lowest variance)",
     )

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.rng import derive_seed, make_rng
+from repro.rng import derive_seed, derive_seeds, first_uniform, make_rng
 
 __all__ = [
     "InitialActive",
@@ -241,8 +241,13 @@ class PopulationModel:
         """RNG unique to (dynamic, site) — the pure core."""
         return make_rng(derive_seed(self.seed, kind, index, *key))
 
-    def _draw(self, kind: str, index: int, *key: int) -> float:
-        return float(self._rng(kind, index, *key).random())
+    def _draws(
+        self, kind: str, index: int, round_idx: int, client_ids: np.ndarray
+    ) -> np.ndarray:
+        """``_rng(kind, index, round, c).random()`` for every client id, in
+        one vectorized pass (bit-identical; see :func:`repro.rng.derive_seeds`)."""
+        ids = np.asarray(client_ids, dtype=np.int64)
+        return first_uniform(derive_seeds(self.seed, kind, index, round_idx, ids))
 
     def initial_active(self, pool_size: int) -> np.ndarray:
         """Boolean mask of the clients active at round 0 (≥ 1 active).
@@ -271,45 +276,69 @@ class PopulationModel:
             total += int(self._rng("join", idx, round_idx).poisson(dyn.rate))
         return total
 
+    def departing(self, round_idx: int, client_ids: np.ndarray) -> np.ndarray:
+        """Which of these active clients leave at the start of this round
+        (boolean mask over ``client_ids``)."""
+        ids = np.asarray(client_ids, dtype=np.int64)
+        leaving = np.zeros(ids.shape, dtype=bool)
+        for idx, dyn in enumerate(self.dynamics):
+            if dyn.kind == "leave":
+                leaving |= self._draws("leave", idx, round_idx, ids) < dyn.prob
+        return leaving
+
     def departs(self, round_idx: int, client_id: int) -> bool:
         """Does this active client leave at the start of this round?"""
-        for idx, dyn in enumerate(self.dynamics):
-            if dyn.kind != "leave":
-                continue
-            if self._draw("leave", idx, round_idx, client_id) < dyn.prob:
-                return True
-        return False
+        return bool(self.departing(round_idx, [client_id])[0])
 
-    def drift_decisions(self, round_idx: int, client_id: int) -> list[tuple[int, LabelDrift]]:
-        """The drift dynamics striking this client this round."""
-        fired: list[tuple[int, LabelDrift]] = []
+    def drifting(
+        self, round_idx: int, client_ids: np.ndarray
+    ) -> list[tuple[int, LabelDrift, np.ndarray]]:
+        """Per drift dynamic, which of these clients it strikes this round:
+        ``(index, dynamic, boolean mask over client_ids)``."""
+        ids = np.asarray(client_ids, dtype=np.int64)
+        struck = []
         for idx, dyn in enumerate(self.dynamics):
             if dyn.kind != "drift":
                 continue
             if dyn.mode == "linear":
-                hit = dyn.prob > 0
+                mask = np.full(ids.shape, dyn.prob > 0)
             elif dyn.mode == "corr":
-                hit = self._corr_state(idx, dyn, round_idx, client_id)
+                mask = self._corr_states(idx, dyn, round_idx, ids)
             else:  # step
-                hit = self._draw("drift", idx, round_idx, client_id) < dyn.prob
-            if hit:
-                fired.append((idx, dyn))
-        return fired
+                mask = self._draws("drift", idx, round_idx, ids) < dyn.prob
+            struck.append((idx, dyn, mask))
+        return struck
 
-    def _corr_state(self, idx: int, dyn: LabelDrift, round_idx: int, client_id: int) -> bool:
-        """2-state Markov chain, computed recursively from round 0.
+    def drift_decisions(self, round_idx: int, client_id: int) -> list[tuple[int, LabelDrift]]:
+        """The drift dynamics striking this client this round."""
+        return [
+            (idx, dyn)
+            for idx, dyn, mask in self.drifting(round_idx, [client_id])
+            if mask[0]
+        ]
+
+    def _corr_states(
+        self, idx: int, dyn: LabelDrift, round_idx: int, ids: np.ndarray
+    ) -> np.ndarray:
+        """2-state Markov chains, advanced from round 0 to ``round_idx``.
 
         Memoized per (dynamic, client) so a T-round run stays O(T); the
         cache is dropped on pickle and rebuilt identically anywhere
-        because each transition draw is keyed by its own round.
+        because each transition draw is keyed by its own round. Clients
+        first asked late (joiners) catch up from round 0, one batched draw
+        per missing round.
         """
-        chain = self._corr_cache.setdefault((idx, client_id), [])
-        while len(chain) <= round_idx:
-            t = len(chain)
-            inside = chain[t - 1] if t else False
-            p = dyn.rho if inside else dyn.prob
-            chain.append(self._draw("drift-state", idx, t, client_id) < p)
-        return chain[round_idx]
+        chains = [self._corr_cache.setdefault((idx, int(c)), []) for c in ids]
+        first_missing = min((len(chain) for chain in chains), default=round_idx + 1)
+        for t in range(first_missing, round_idx + 1):
+            due = [k for k, chain in enumerate(chains) if len(chain) == t]
+            inside = np.array([t > 0 and chains[k][t - 1] for k in due], dtype=bool)
+            hits = self._draws("drift-state", idx, t, ids[due]) < np.where(
+                inside, dyn.rho, dyn.prob
+            )
+            for k, hit in zip(due, hits.tolist()):
+                chains[k].append(hit)
+        return np.array([chain[round_idx] for chain in chains], dtype=bool)
 
     def drift_sample(
         self,
@@ -338,17 +367,26 @@ class PopulationModel:
         return int(indices.size), offset, indices.astype(np.int64)
 
     # ------------------------------------------------------------- corruption
+    def corrupting(
+        self, round_idx: int, client_ids: np.ndarray
+    ) -> list[tuple[int, FeatureCorruption, np.ndarray]]:
+        """Per corruption dynamic, which of these clients it strikes this
+        round: ``(index, dynamic, boolean mask over client_ids)``."""
+        return [
+            (idx, dyn, self._draws("corrupt", idx, round_idx, client_ids) < dyn.prob)
+            for idx, dyn in enumerate(self.dynamics)
+            if dyn.kind == "corrupt"
+        ]
+
     def corruption_decisions(
         self, round_idx: int, client_id: int
     ) -> list[tuple[int, FeatureCorruption]]:
         """The corruption dynamics striking this client this round."""
-        fired: list[tuple[int, FeatureCorruption]] = []
-        for idx, dyn in enumerate(self.dynamics):
-            if dyn.kind != "corrupt":
-                continue
-            if self._draw("corrupt", idx, round_idx, client_id) < dyn.prob:
-                fired.append((idx, dyn))
-        return fired
+        return [
+            (idx, dyn)
+            for idx, dyn, mask in self.corrupting(round_idx, [client_id])
+            if mask[0]
+        ]
 
     def corruption_severity(
         self,

@@ -7,13 +7,17 @@ replayable :class:`~repro.population.trace.PopulationTrace`. Each global
 round, :meth:`step` applies — in a fixed canonical order, so replay is
 bit-identical on any backend —
 
-1. **departures**: every active client asks ``model.departs`` (ascending
-   id; the last active client never leaves);
+1. **departures**: ``model.departing`` decides for all active clients at
+   once; those leaving are removed in ascending id (the last active client
+   never leaves);
 2. **arrivals**: ``model.arrivals`` dormant clients join (lowest dormant
    ids first), greedily placed into their edge's CoV-minimizing group;
-3. **label drift**: firing drifts relabel a seeded subset of the client's
-   samples in place (``y`` and its L row stay consistent — the data the
-   groups train on *is* the drifted data);
+3. **label drift**, then **feature corruption**: ``model.drifting`` /
+   ``model.corrupting`` decide for all active clients at once, and only the
+   (client, dynamic) pairs that fire run per-event code — a firing drift
+   relabels a seeded subset of the client's samples in place (``y`` and its
+   L row stay consistent — the data the groups train on *is* the drifted
+   data);
 4. **maintenance**: the MaxCoV watchdog re-groups degraded groups.
 
 All RNG use is derived from the model seed and the site
@@ -107,16 +111,16 @@ class PopulationEngine:
         events: list[PopulationEvent] = []
         data_changed = False
 
-        for cid in [int(c) for c in np.flatnonzero(self.active)]:
+        active_ids = np.flatnonzero(self.active)
+        for cid in active_ids[model.departing(round_idx, active_ids)].tolist():
             if self._num_active <= 1:
                 break
-            if model.departs(round_idx, cid):
-                gi = self.maintainer.remove_client(cid)
-                self.active[cid] = False
-                self._num_active -= 1
-                events.append(
-                    PopulationEvent("leave", round_idx, client_id=cid, group_id=gi)
-                )
+            gi = self.maintainer.remove_client(cid)
+            self.active[cid] = False
+            self._num_active -= 1
+            events.append(
+                PopulationEvent("leave", round_idx, client_id=cid, group_id=gi)
+            )
 
         joining = model.arrivals(round_idx)
         if joining:
@@ -129,19 +133,20 @@ class PopulationEngine:
                     PopulationEvent("join", round_idx, client_id=cid, group_id=gi)
                 )
 
-        if model.has_drift:
-            for cid in [int(c) for c in np.flatnonzero(self.active)]:
-                for idx, dyn in model.drift_decisions(round_idx, cid):
-                    event = self._apply_drift(idx, dyn, round_idx, cid)
-                    if event is not None:
-                        events.append(event)
-                        data_changed = True
-
-        if model.has_corruption:
-            for cid in [int(c) for c in np.flatnonzero(self.active)]:
-                for idx, dyn in model.corruption_decisions(round_idx, cid):
-                    events.append(self._apply_corruption(idx, dyn, round_idx, cid))
-                    data_changed = True
+        # Decisions are taken for all active clients at once; per-event
+        # Python runs only for the (client, dynamic) pairs that fire, in
+        # ascending (client, dynamic) order.
+        active_ids = np.flatnonzero(self.active)
+        for cid, idx in _fired(model.drifting(round_idx, active_ids), active_ids):
+            event = self._apply_drift(idx, model.dynamics[idx], round_idx, cid)
+            if event is not None:
+                events.append(event)
+                data_changed = True
+        for cid, idx in _fired(model.corrupting(round_idx, active_ids), active_ids):
+            events.append(
+                self._apply_corruption(idx, model.dynamics[idx], round_idx, cid)
+            )
+            data_changed = True
 
         tel = self.telemetry
         with tel.span("population_maintain", round=round_idx):
@@ -291,3 +296,11 @@ class PopulationEngine:
         self.trace = trace
         self.maintainer.reset_from_groups(groups, strict=True)
         self.groups = self.maintainer.groups()
+
+
+def _fired(struck: list, ids: np.ndarray) -> list[tuple[int, int]]:
+    """(client, dynamic index) of every hit in a ``PopulationModel.drifting``
+    / ``corrupting`` answer, sorted by client then dynamic."""
+    return sorted(
+        (cid, idx) for idx, _, mask in struck for cid in ids[mask].tolist()
+    )

@@ -5,8 +5,8 @@ with the paper's three weight functions (RCoV, SRCoV, ESRCoV) or uniform,
 plus the closed-form variance-optimal p* ∝ n_g·‖x_g‖; ``schemes`` defines
 how S_t is drawn from p (sequential without replacement, multinomial with
 replacement, or stratified one-per-stratum); ``inclusion`` computes the
-exact inclusion probabilities π_g of the sequential WOR draw (recursive
-enumeration with a seeded Monte-Carlo fallback); ``adaptive`` re-estimates
+inclusion probabilities π_g of the sequential WOR draw (a deterministic
+quadrature over the exponential-race time); ``adaptive`` re-estimates
 update-norm importance online; ``sampler`` binds it all into the
 cloud-side :class:`GroupSampler` and the aggregation weights (plain,
 unbiased Horvitz–Thompson ``n_g/(n·α_g)``, or the stabilized
@@ -18,7 +18,6 @@ from repro.sampling.inclusion import (
     num_ordered_sequences,
     sequential_wor_inclusion,
     sequential_wor_inclusion_exact,
-    sequential_wor_inclusion_mc,
 )
 from repro.sampling.probability import (
     WEIGHT_FUNCTIONS,
@@ -66,5 +65,4 @@ __all__ = [
     "num_ordered_sequences",
     "sequential_wor_inclusion",
     "sequential_wor_inclusion_exact",
-    "sequential_wor_inclusion_mc",
 ]

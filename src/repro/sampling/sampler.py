@@ -241,12 +241,19 @@ class GroupSampler:
         raw = self.scheme.draw(self.rng)
         idx, counts = _dedupe_in_draw_order(raw)
         selected = [self.groups[i] for i in idx]
+        # Line 15 weights never divide by α_g, so ``biased`` does not make
+        # the scheme compute it (π_g, for the sequential WOR draw).
+        alpha = (
+            None
+            if self.mode is AggregationMode.BIASED
+            else self.scheme.expected_multiplicity[idx]
+        )
         weights = aggregation_weights(
             selected,
             self.p[idx],
             self.total_samples,
             self.mode,
-            inclusion=self.scheme.expected_multiplicity[idx],
+            inclusion=alpha,
             multiplicity=counts,
         )
         tel = self.telemetry

@@ -10,10 +10,11 @@ actually needs — the Horvitz–Thompson/Hansen–Hurwitz weight is
   (Fraboni et al.'s MD sampling). α_g = S·p_g exactly, so the paper's
   Eq. (4) weight ``n_g/(n·p_g·S)`` is provably unbiased here.
 * ``sequential_wor``  — the paper's sequential renormalized draw without
-  replacement. α_g = π_g, the exact inclusion probability computed by
-  :mod:`repro.sampling.inclusion` (recursive enumeration, seeded-MC
-  fallback); π_g ≠ S·p_g for S > 1 and non-uniform p, which is the Eq. (4)
-  bias this module fixes.
+  replacement. α_g = π_g, the inclusion probability computed by
+  :mod:`repro.sampling.inclusion` (deterministic quadrature over the
+  exponential-race time), and only when something reads it — the
+  ``biased`` aggregation mode never does; π_g ≠ S·p_g for S > 1 and
+  non-uniform p, which is the Eq. (4) bias this module fixes.
 * ``stratified``      — Fraboni's clustered sampling: partition the groups
   into S strata of near-equal p-mass (greedy longest-processing-time over
   p descending) and draw exactly one group per stratum, proportional to p
@@ -30,11 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.rng import make_rng
-from repro.sampling.inclusion import (
-    DEFAULT_EXACT_BUDGET,
-    DEFAULT_MC_ROUNDS,
-    sequential_wor_inclusion,
-)
+from repro.sampling.inclusion import sequential_wor_inclusion
 
 __all__ = [
     "SamplingScheme",
@@ -122,33 +119,22 @@ class MultinomialScheme(SamplingScheme):
 
 
 class SequentialWORScheme(SamplingScheme):
-    """The paper's sequential renormalized WOR draw; α_g = exact π_g.
+    """The paper's sequential renormalized WOR draw; α_g = π_g.
 
-    ``exact_budget`` / ``mc_rounds`` / ``mc_rng`` tune the π computation
-    (see :func:`repro.sampling.inclusion.sequential_wor_inclusion`); π is
-    computed lazily on first use and cached for the scheme's lifetime.
+    π (:func:`repro.sampling.inclusion.sequential_wor_inclusion`) is
+    computed on first use and cached for the scheme's lifetime; a scheme
+    that is only ever drawn from never computes it.
     """
 
     name = "sequential_wor"
 
-    def __init__(
-        self,
-        p: np.ndarray,
-        size: int,
-        *,
-        exact_budget: int = DEFAULT_EXACT_BUDGET,
-        mc_rounds: int = DEFAULT_MC_ROUNDS,
-        mc_rng: np.random.Generator | int | None = None,
-    ):
+    def __init__(self, p: np.ndarray, size: int):
         super().__init__(p, size)
         if int(np.count_nonzero(self.p)) < size:
             raise ValueError(
                 f"cannot draw {size} distinct groups: only "
                 f"{int(np.count_nonzero(self.p))} have positive probability"
             )
-        self._exact_budget = exact_budget
-        self._mc_rounds = mc_rounds
-        self._mc_rng = mc_rng
         self._pi: np.ndarray | None = None
 
     def draw(self, rng: np.random.Generator) -> np.ndarray:
@@ -157,13 +143,7 @@ class SequentialWORScheme(SamplingScheme):
     @property
     def expected_multiplicity(self) -> np.ndarray:
         if self._pi is None:
-            self._pi = sequential_wor_inclusion(
-                self.p,
-                self.size,
-                exact_budget=self._exact_budget,
-                mc_rounds=self._mc_rounds,
-                rng=self._mc_rng,
-            )
+            self._pi = sequential_wor_inclusion(self.p, self.size)
         return self._pi
 
 
@@ -219,7 +199,7 @@ SCHEMES = {
 }
 
 
-def make_scheme(name: str, p: np.ndarray, size: int, **kwargs) -> SamplingScheme:
+def make_scheme(name: str, p: np.ndarray, size: int) -> SamplingScheme:
     """Build a scheme by name (``multinomial``/``sequential_wor``/``stratified``)."""
     try:
         cls = SCHEMES[name]
@@ -227,4 +207,4 @@ def make_scheme(name: str, p: np.ndarray, size: int, **kwargs) -> SamplingScheme
         raise KeyError(
             f"unknown sampling scheme {name!r}; known: {sorted(SCHEMES)}"
         ) from None
-    return cls(p, size, **kwargs)
+    return cls(p, size)

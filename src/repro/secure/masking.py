@@ -15,8 +15,9 @@ Two implementations coexist:
   path: one ``SeedSequence`` per pair, one ``Generator(Philox)`` per mask.
 * :func:`pairwise_seed_table` / :func:`batched_pair_masks` /
   :func:`accumulate_pair_masks` — the hot path: all Θ(s²) pair seeds of a
-  round are derived in one vectorized ``SeedSequence`` hash pass (the
-  entropy-pool mix re-implemented as fused NumPy array ops), all Philox
+  round are derived in one vectorized ``SeedSequence`` hash pass
+  (:func:`repro.rng.seedseq_pool` — the entropy-pool mix as fused NumPy
+  array ops, shared with the population layer's batch decisions), all Philox
   key schedules likewise, and one reusable counter-mode Philox stream is
   re-keyed per pair instead of constructing a ``Generator`` object per
   mask.  All of it is **bit-identical** to the reference functions
@@ -34,6 +35,8 @@ from __future__ import annotations
 import threading
 
 import numpy as np
+
+from repro.rng import seedseq_columns, seedseq_pool, seedseq_words
 
 __all__ = [
     "pairwise_seed",
@@ -63,73 +66,8 @@ def pairwise_mask(seed: int, dim: int) -> np.ndarray:
     return rng.integers(0, 2**64, size=dim, dtype=np.uint64)
 
 
-# --------------------------------------------------------------------------
-# Vectorized SeedSequence (numpy's entropy-pool hash, pool_size=4).
-#
-# Constants and mixing steps mirror numpy.random.SeedSequence exactly; all
-# arithmetic runs on uint64 arrays masked back to 32 bits so thousands of
-# pair seeds hash in a handful of fused array ops.
-# --------------------------------------------------------------------------
-
-_M32 = 0xFFFFFFFF
-_INIT_A = 0x43B0D7E5
-_MULT_A = 0x931E8875
-_INIT_B = 0x8B51F9DD
-_MULT_B = 0x58F38DED
-_MIX_L = 0xCA01F9DD
-_MIX_R = 0x4973F715
-_XSHIFT = np.uint64(16)
 _U32 = np.uint64(32)
-_LOW32 = np.uint64(_M32)
-
-
-def _hashmix(values: np.ndarray, hash_const: int) -> tuple[np.ndarray, int]:
-    """One SeedSequence hash step over an array of 32-bit words."""
-    values = values ^ np.uint64(hash_const)
-    hash_const = (hash_const * _MULT_A) & _M32
-    values = (values * np.uint64(hash_const)) & _LOW32
-    values = values ^ (values >> _XSHIFT)
-    return values, hash_const
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    r = (x * np.uint64(_MIX_L) - y * np.uint64(_MIX_R)) & _LOW32
-    return r ^ (r >> _XSHIFT)
-
-
-def _seedseq_pools(entropy_cols: list[np.ndarray]) -> list[np.ndarray]:
-    """Vectorized entropy-pool fill + mix for ≤ 4 one-word entropy columns.
-
-    Each column holds one 32-bit entropy word per lane (stored in uint64).
-    Matches ``SeedSequence(entropy).pool`` for entropy lists of ≤ 4 words;
-    a trailing zero column is identical to omitting the word, which is how
-    numpy coerces integers below 2³² (so callers may always pass the
-    (low, high) split of a 64-bit value).
-    """
-    shape = entropy_cols[0].shape
-    pool: list[np.ndarray] = [np.empty(0, np.uint64)] * 4
-    hash_const = _INIT_A
-    for i in range(4):
-        col = entropy_cols[i] if i < len(entropy_cols) else np.zeros(shape, np.uint64)
-        pool[i], hash_const = _hashmix(col, hash_const)
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                hashed, hash_const = _hashmix(pool[src], hash_const)
-                pool[dst] = _mix(pool[dst], hashed)
-    return pool
-
-
-def _seedseq_generate(pool: list[np.ndarray], n_words32: int) -> list[np.ndarray]:
-    """Vectorized ``SeedSequence.generate_state`` (32-bit word stream)."""
-    hash_const = _INIT_B
-    words = []
-    for i in range(n_words32):
-        v = pool[i % 4] ^ np.uint64(hash_const)
-        hash_const = (hash_const * _MULT_B) & _M32
-        v = (v * np.uint64(hash_const)) & _LOW32
-        words.append(v ^ (v >> _XSHIFT))
-    return words
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 # --------------------------------------------------------------------------
@@ -141,8 +79,8 @@ def _philox_keys(seeds: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Per-seed Philox key pair, matching ``Philox(seed)``'s key schedule
     (``SeedSequence(seed).generate_state(2, uint64)``), vectorized."""
     seeds = np.asarray(seeds, dtype=np.uint64)
-    pool = _seedseq_pools([seeds & _LOW32, seeds >> _U32])
-    w = _seedseq_generate(pool, 4)
+    pool = seedseq_pool([seeds & _LOW32, seeds >> _U32])
+    w = seedseq_words(pool, 4)
     return w[0] | (w[1] << _U32), w[2] | (w[3] << _U32)
 
 
@@ -248,22 +186,8 @@ def pairwise_seed_table(
     lo, hi = np.triu_indices(int(num_clients), k=1)
     lo = lo.astype(np.int64)
     hi = hi.astype(np.int64)
-    if 0 <= key[0] <= _M32 and 0 <= key[1] <= _M32:
-        cols = [
-            np.full(lo.shape, key[0], np.uint64),
-            np.full(lo.shape, key[1], np.uint64),
-            lo.astype(np.uint64),
-            hi.astype(np.uint64),
-        ]
-        w = _seedseq_generate(_seedseq_pools(cols), 2)
-        seeds = w[0] | (w[1] << _U32)
-    else:
-        # Entropy words ≥ 2³² split into multiple 32-bit words in numpy's
-        # coercion; fall back to the scalar reference for this rare shape.
-        seeds = np.array(
-            [pairwise_seed(round_id, int(a), int(b), session) for a, b in zip(lo, hi)],
-            dtype=np.uint64,
-        ).reshape(lo.shape)
+    w = seedseq_words(seedseq_pool(seedseq_columns([key[0], key[1], lo, hi])), 2)
+    seeds = w[0] | (w[1] << _U32)
     table = (lo, hi, seeds)
     with _SEED_TABLE_LOCK:
         if len(_SEED_TABLE_CACHE) >= _SEED_TABLE_CAPACITY:

@@ -4,8 +4,9 @@ The load-bearing facts pinned here:
 
 1. The sequential WOR draw's inclusion probability π_g ≠ S·p_g for S>1
    and non-uniform p — the Eq. (4) bias this PR fixes. The exact
-   recursion, the seeded Monte-Carlo fallback, and NumPy's actual
-   ``choice(replace=False)`` draw must all agree on π.
+   recursion, the race-time quadrature, and NumPy's actual
+   ``choice(replace=False)`` draw must all agree on π
+   (``test_inclusion.py`` holds the quadrature to a rational oracle).
 2. Every scheme's ``expected_multiplicity`` is what its draws actually
    realize (empirical α within CLT tolerance).
 3. Checkpoint resume replays bit-identically under every scheme and under
@@ -17,6 +18,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -35,7 +37,6 @@ from repro.sampling import (
     num_ordered_sequences,
     sequential_wor_inclusion,
     sequential_wor_inclusion_exact,
-    sequential_wor_inclusion_mc,
     variance_optimal_probabilities,
 )
 
@@ -103,35 +104,36 @@ class TestInclusionProbabilities:
         se = np.sqrt(pi * (1 - pi) / rounds)
         assert np.all(np.abs(pi_emp - pi) < 5 * se + 1e-12)
 
-    def test_mc_matches_exact(self):
-        """The exponential-race MC estimator converges to the exact π."""
-        pi = sequential_wor_inclusion_exact(P_SPREAD, 3)
-        pi_mc = sequential_wor_inclusion_mc(P_SPREAD, 3, rounds=60_000, rng=5)
-        se = np.sqrt(pi * (1 - pi) / 60_000)
-        assert np.all(np.abs(pi_mc - pi) < 5 * se + 1e-12)
+    def test_quadrature_matches_exact(self):
+        """The one production path agrees with the enumeration to rounding."""
+        for size in (2, 3, 4, 5):
+            pi = sequential_wor_inclusion_exact(P_SPREAD, size)
+            assert np.abs(sequential_wor_inclusion(P_SPREAD, size) - pi).max() < 1e-14
 
-    def test_mc_default_seed_is_deterministic(self):
-        a = sequential_wor_inclusion_mc(P_SPREAD, 2, rounds=2_000)
-        b = sequential_wor_inclusion_mc(P_SPREAD, 2, rounds=2_000)
+    def test_needs_no_seed_and_has_no_knobs(self):
+        """π is a pure function of (p, S): nothing to seed or budget."""
+        assert list(inspect.signature(sequential_wor_inclusion).parameters) == [
+            "p", "size",
+        ]
+        a = sequential_wor_inclusion(P_SPREAD, 2)
+        b = sequential_wor_inclusion(P_SPREAD.copy(), 2)
         assert np.array_equal(a, b)
 
-    def test_mc_is_seedable(self):
-        a = sequential_wor_inclusion_mc(P_SPREAD, 2, rounds=2_000, rng=1)
-        b = sequential_wor_inclusion_mc(P_SPREAD, 2, rounds=2_000, rng=2)
-        assert not np.array_equal(a, b)
+    def test_scheme_takes_only_p_and_size(self):
+        with pytest.raises(TypeError):
+            SequentialWORScheme(P_SPREAD, 2, mc_rounds=10)
+        with pytest.raises(TypeError):
+            make_scheme("sequential_wor", P_SPREAD, 2, exact_budget=10)
 
-    def test_budget_dispatch(self):
-        """Over-budget sizes take the MC path (identical to calling it)."""
+    def test_one_path_beyond_the_enumeration_reach(self):
+        """No size switches method: 40 groups, S=6 is 2.8e9 ordered
+        sequences (the old exact budget was 2e5) and still exact to Σπ = S."""
         assert num_ordered_sequences(6, 3) == 120
-        via_budget = sequential_wor_inclusion(
-            P_SPREAD, 3, exact_budget=10, mc_rounds=2_000
-        )
-        direct_mc = sequential_wor_inclusion_mc(P_SPREAD, 3, rounds=2_000)
-        assert np.array_equal(via_budget, direct_mc)
-        assert np.array_equal(
-            sequential_wor_inclusion(P_SPREAD, 3, exact_budget=200),
-            sequential_wor_inclusion_exact(P_SPREAD, 3),
-        )
+        assert num_ordered_sequences(40, 6) > 2_000_000_000
+        p = np.random.default_rng(0).dirichlet(np.full(40, 0.4))
+        pi = sequential_wor_inclusion(p, 6)
+        assert pi.sum() == pytest.approx(6.0, abs=1e-12)
+        assert np.all(np.diff(pi[np.argsort(p)]) >= 0)  # monotone in p
 
     def test_zero_mass_groups_have_zero_pi(self):
         p = np.array([0.5, 0.5, 0.0, 0.0])
@@ -145,8 +147,6 @@ class TestInclusionProbabilities:
             sequential_wor_inclusion(np.array([0.5, 0.6]), 1)
         with pytest.raises(ValueError, match="positive probability"):
             sequential_wor_inclusion(np.array([0.5, 0.5, 0.0]), 3)
-        with pytest.raises(ValueError, match="rounds"):
-            sequential_wor_inclusion_mc(P_SPREAD, 2, rounds=0)
 
 
 class TestSchemes:

@@ -4,7 +4,17 @@ import numpy as np
 import pytest
 
 from repro.parallel import ParallelMap, available_backends
-from repro.rng import derive_seed, make_rng, spawn, spawn_many
+from repro.rng import (
+    derive_seed,
+    derive_seeds,
+    first_uniform,
+    make_rng,
+    seedseq_columns,
+    seedseq_pool,
+    seedseq_words,
+    spawn,
+    spawn_many,
+)
 
 
 class TestParallelMap:
@@ -90,3 +100,61 @@ class TestRng:
         for i in range(20):
             s = derive_seed(i, "x")
             assert 0 <= s < 2**63
+
+
+class TestBatchSeeds:
+    """``derive_seeds`` / ``first_uniform`` are the scalar calls, per lane."""
+
+    def test_bit_identical_on_random_sites(self):
+        rng = np.random.default_rng(99)
+        roots = [0, 7, 2**32 - 1, 2**32, 2**40 + 17, 2**63 + 5, 2**64 - 1]
+        kinds = ["leave", "drift", "drift-state", "corrupt", "x", "a-much-longer-token"]
+        sites = 0
+        for root in roots:
+            for kind in kinds:
+                for index in (0, 3):  # several dynamics of one kind
+                    round_idx = int(rng.choice([0, 1, 17, 2**31, 2**32 + 9]))
+                    ids = rng.integers(0, 2**32, size=128)
+                    ids[:3] = [0, 1, 2**32 - 1]
+                    seeds = derive_seeds(root, kind, index, round_idx, ids)
+                    want = [derive_seed(root, kind, index, round_idx, int(c)) for c in ids]
+                    assert seeds.tolist() == want
+                    assert first_uniform(seeds).tolist() == [
+                        make_rng(s).random() for s in want
+                    ]
+                    sites += ids.size
+        assert sites >= 10_000
+
+    def test_lane_shapes(self):
+        grid = derive_seeds(7, "k", np.arange(3)[:, None], np.arange(4)[None, :])
+        assert grid.shape == (3, 4)
+        assert int(grid[2, 3]) == derive_seed(7, "k", 2, 3)
+        scalar = derive_seeds(7, "k", 1)
+        assert scalar.shape == () and int(scalar) == derive_seed(7, "k", 1)
+        assert derive_seeds(7, "k", np.empty(0, np.int64)).shape == (0,)
+        assert first_uniform(np.empty(0, np.uint64)).shape == (0,)
+
+    def test_first_uniform_of_small_seeds(self):
+        seeds = np.array([0, 1, 2**32 - 1, 2**32, 2**63 - 1], dtype=np.uint64)
+        assert first_uniform(seeds).tolist() == [
+            make_rng(int(s)).random() for s in seeds
+        ]
+
+    def test_wide_array_entries_raise_by_position(self):
+        with pytest.raises(ValueError, match=r"entropy item 3 .*\[0, 2\*\*32\)"):
+            derive_seeds(5, "leave", 0, np.array([1, 2**32]))
+        with pytest.raises(ValueError, match="entropy item 2"):
+            derive_seeds(5, "leave", np.array([-1]))
+        with pytest.raises(TypeError, match="integer array"):
+            derive_seeds(5, "leave", np.array([0.5]))
+
+    def test_pool_matches_numpy_past_four_words(self):
+        """The emulation covers entropy lists longer than the pool."""
+        rng = np.random.default_rng(4)
+        for n_words in (1, 2, 4, 5, 9):
+            entropy = [int(x) for x in rng.integers(0, 2**32, size=n_words)]
+            seq = np.random.SeedSequence(entropy)
+            pool = seedseq_pool(seedseq_columns(entropy))
+            assert [int(w[0]) for w in pool] == [int(w) for w in seq.pool]
+            words = seedseq_words(pool, 6)
+            assert [int(w[0]) for w in words] == seq.generate_state(6).tolist()
