@@ -58,8 +58,11 @@ def test_unbiased_weight_explosion_mechanism(benchmark):
     ]
     p_sel = np.array([0.999, 1e-4])
     n = 10_000
-    raw = run_once(benchmark, aggregation_weights, groups, p_sel, n, "unbiased")
-    stab = aggregation_weights(groups, p_sel, n, "stabilized")
+    eq4 = len(groups) * p_sel  # Eq. (4)'s divisor S·p_g
+    raw = run_once(
+        benchmark, aggregation_weights, groups, p_sel, n, "unbiased", inclusion=eq4
+    )
+    stab = aggregation_weights(groups, p_sel, n, "stabilized", inclusion=eq4)
     assert raw.max() > 10.0, "unbiased factor should explode for tiny p_g"
     assert stab.max() <= 1.0
     assert abs(stab.sum() - 1.0) < 1e-12

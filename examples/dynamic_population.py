@@ -28,14 +28,15 @@ from repro import (
     FederatedDataset,
     GroupFELTrainer,
     PopulationModel,
+    RunContext,
     SyntheticImage,
     Telemetry,
     TrainerConfig,
-    activated,
     group_clients_per_edge,
     make_mlp,
     paper_cost_model,
 )
+from repro.context import activated
 
 NUM_CLIENTS = 24
 NUM_EDGES = 2
@@ -83,7 +84,7 @@ def model_hash(trainer: GroupFELTrainer) -> str:
 
 def main() -> None:
     tel = Telemetry(label="dynamic-population")
-    with activated(tel):
+    with activated(RunContext(telemetry=tel)):
         trainer = build_trainer()
         history = trainer.run()
 

@@ -17,14 +17,15 @@ from repro import (
     CoVGrouping,
     FederatedDataset,
     GroupFELTrainer,
+    RunContext,
     SyntheticImage,
     Telemetry,
     TrainerConfig,
-    activated,
     group_clients_per_edge,
     make_mlp,
     paper_cost_model,
 )
+from repro.context import activated
 
 NUM_CLIENTS = 30
 NUM_EDGES = 2
@@ -44,7 +45,7 @@ def run_scenario(fed: FederatedDataset, faults: str | None):
 
     in_features = int(np.prod(fed.test.feature_shape))
     tel = Telemetry(label=faults or "clean")
-    with activated(tel):
+    with activated(RunContext(telemetry=tel)):
         trainer = GroupFELTrainer(
             model_fn=lambda: make_mlp(in_features, 10, hidden=(64,), seed=7),
             fed=fed,

@@ -4,9 +4,10 @@ Trains a small federation twice. The first run passes a ``Telemetry``
 facade straight to the trainer and inspects the span tree (``round >
 group > client_update / secagg``), the run counters (bytes aggregated,
 Γ_p, per-round cost), and the exports (JSONL / CSV / Prometheus text).
-The second run shows the ambient style — ``with activated(tel):`` — that
-the CLI's ``--telemetry`` flag uses to reach trainers buried inside
-figure generators.
+The second run shows the run-context style —
+``with activated(RunContext(telemetry=tel)):`` — that the CLI's
+``--telemetry`` flag uses to reach trainers buried inside figure
+generators.
 
     python examples/telemetry_tour.py
 """
@@ -20,15 +21,16 @@ from repro import (
     CoVGrouping,
     FederatedDataset,
     GroupFELTrainer,
+    RunContext,
     SyntheticImage,
     TelemetryCallback,
     Telemetry,
     TrainerConfig,
-    activated,
     group_clients_per_edge,
     make_mlp,
     paper_cost_model,
 )
+from repro.context import activated
 from repro.telemetry import load_jsonl, parse_prometheus
 
 NUM_CLIENTS = 24
@@ -102,11 +104,12 @@ def main() -> None:
         sampled = parse_prometheus(prom)["repro_groups_sampled"]
         print(f"Prometheus: repro_groups_sampled = {sampled:.0f}")
 
-    # ---- 3. Ambient style + callback-driven summary. -----------------------
-    # `activated` installs the instance process-wide; any trainer built
-    # inside picks it up — this is what the CLI's --telemetry flag does.
+    # ---- 3. Run-context style + callback-driven summary. ------------------
+    # `activated` installs the context process-wide; any trainer built
+    # inside picks its telemetry up — this is what the CLI's --telemetry
+    # flag does.
     ambient = Telemetry(label="ambient")
-    with activated(ambient):
+    with activated(RunContext(telemetry=ambient)):
         trainer = build_trainer(
             fed, groups,
             callbacks=[TelemetryCallback(summary_printer=None)],

@@ -35,8 +35,8 @@ from repro.checkpoint import (
     CheckpointPolicy,
     CheckpointVersionError,
     CorruptCheckpointError,
-    checkpointing_activated,
 )
+from repro.context import RunContext
 from repro.core import (
     Callback,
     Checkpointer,
@@ -77,9 +77,6 @@ from repro.faults import (
     MessageLoss,
     RetryPolicy,
     Straggler,
-    get_active_plan,
-    plan_activated,
-    set_active_plan,
 )
 from repro.grouping import (
     CDGGrouping,
@@ -121,9 +118,6 @@ from repro.population import (
     PopulationEvent,
     PopulationModel,
     PopulationTrace,
-    get_active_population,
-    population_activated,
-    set_active_population,
 )
 from repro.sampling import AggregationMode, GroupSampler, sampling_probabilities
 from repro.secure import (
@@ -131,14 +125,7 @@ from repro.secure import (
     DropoutTolerantAggregator,
     SecureAggregator,
 )
-from repro.telemetry import (
-    NULL_TELEMETRY,
-    NullTelemetry,
-    Telemetry,
-    activated,
-    get_active,
-    set_active,
-)
+from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.theory import BoundInputs, convergence_bound
 from repro.topology import CommModel, HierarchicalTopology
 
@@ -203,7 +190,8 @@ __all__ = [
     "CheckpointError",
     "CorruptCheckpointError",
     "CheckpointVersionError",
-    "checkpointing_activated",
+    # run context
+    "RunContext",
     # faults
     "FaultPlan",
     "FaultEvent",
@@ -213,9 +201,6 @@ __all__ = [
     "MessageLoss",
     "RetryPolicy",
     "GroupFailure",
-    "plan_activated",
-    "get_active_plan",
-    "set_active_plan",
     # population
     "PopulationModel",
     "PopulationEngine",
@@ -226,9 +211,6 @@ __all__ = [
     "Arrivals",
     "Departures",
     "LabelDrift",
-    "population_activated",
-    "get_active_population",
-    "set_active_population",
     # costs
     "CostModel",
     "LinearCost",
@@ -251,9 +233,6 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
-    "activated",
-    "get_active",
-    "set_active",
     # theory
     "BoundInputs",
     "convergence_bound",

@@ -137,13 +137,13 @@ def build_method(
         ``config.sampling_scheme``.
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` forwarded to the
-        trainer (default: the ambient instance).
+        trainer (default: the run context's).
     parallel:
         Optional shared :class:`repro.parallel.ParallelMap` forwarded to
         the trainer so several methods reuse one persistent worker pool.
     checkpoint_dir:
         Optional crash-safe checkpoint directory forwarded to the trainer
-        (see ``repro.checkpoint``); omit to fall back to the ambient
+        (see ``repro.checkpoint``); omit to fall back to the run context's
         :class:`repro.checkpoint.CheckpointPolicy`, if any.
     """
     try:
@@ -166,7 +166,7 @@ def build_method(
         cost_model=cost_model,
         strategy=spec.strategy_factory(),
         # Hand the trainer its formation context so regroup_every and
-        # population dynamics (config or ambient) can re-form groups.
+        # population dynamics (config or run context) can re-form groups.
         grouper=grouper,
         edge_assignment=edge_assignment,
         label=name,

@@ -14,7 +14,8 @@ Entry points:
   — periodic auto-saving during ``run()``.
 * ``run_method(..., checkpoint_dir=..., resume_from=...)`` — the runner.
 * ``python -m repro.experiments <target> --checkpoint-dir D [--resume]`` —
-  the CLI, via the ambient :class:`CheckpointPolicy`.
+  the CLI, via the :class:`CheckpointPolicy` in its
+  :class:`repro.context.RunContext`.
 """
 
 from repro.checkpoint.format import (
@@ -30,10 +31,7 @@ from repro.checkpoint.format import (
 from repro.checkpoint.manager import (
     CheckpointManager,
     CheckpointPolicy,
-    checkpointing_activated,
-    get_active_policy,
     manager_for_label,
-    set_active_policy,
 )
 from repro.checkpoint.state import capture_state, config_fingerprint, restore_state
 
@@ -48,9 +46,6 @@ __all__ = [
     "write_checkpoint",
     "CheckpointManager",
     "CheckpointPolicy",
-    "checkpointing_activated",
-    "get_active_policy",
-    "set_active_policy",
     "manager_for_label",
     "capture_state",
     "restore_state",

@@ -1,22 +1,21 @@
-"""Checkpoint directory management and the ambient checkpoint policy.
+"""Checkpoint directory management and the run-wide checkpoint policy.
 
 A :class:`CheckpointManager` owns one directory of round-stamped
 checkpoints (``ckpt_round_000012.ckpt``), writes them atomically (see
 ``repro.checkpoint.format``), finds the latest for resume, and prunes old
 ones under a retention knob.
 
-A :class:`CheckpointPolicy` is the CLI-facing counterpart: installed
-ambiently (``checkpointing_activated``), every trainer a figure generator
-constructs picks it up — each under a per-label subdirectory — exactly
-like the ambient telemetry/fault-plan/worker-pool instances, so the
-generators stay checkpoint-agnostic.
+A :class:`CheckpointPolicy` is the CLI-facing counterpart: carried by a
+:class:`repro.context.RunContext` (``RunContext(checkpoint=policy)``),
+every trainer a figure generator constructs picks it up — each under a
+per-label subdirectory, via :func:`manager_for_label` — so the generators
+stay checkpoint-agnostic.
 """
 
 from __future__ import annotations
 
 import os
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 from repro.checkpoint.format import read_checkpoint, write_checkpoint
@@ -25,9 +24,6 @@ from repro.telemetry import Telemetry, resolve as resolve_telemetry
 __all__ = [
     "CheckpointManager",
     "CheckpointPolicy",
-    "checkpointing_activated",
-    "get_active_policy",
-    "set_active_policy",
     "manager_for_label",
 ]
 
@@ -53,7 +49,9 @@ class CheckpointPolicy:
         ``TrainerConfig.checkpoint_every`` keep their own).
     resume:
         When True, a trainer that finds a checkpoint under its label
-        auto-resumes from the latest one at construction.
+        auto-resumes from the latest one at the start of its first
+        ``run()`` (once the whole trainer, subclass state included, is
+        built).
     keep:
         Retain only the newest ``keep`` checkpoints per trainer
         (None = keep all).
@@ -152,36 +150,6 @@ class CheckpointManager:
             f"CheckpointManager(dir={self.directory!r}, every={self.every}, "
             f"keep={self.keep}, n={len(self.checkpoints())})"
         )
-
-
-# --------------------------------------------------------------------------
-# Ambient policy, mirroring repro.telemetry.activated / repro.faults
-# plan_activated: the CLI installs one policy and every trainer any figure
-# generator constructs checkpoints (and resumes) under it.
-_active_policy: CheckpointPolicy | None = None
-
-
-def get_active_policy() -> CheckpointPolicy | None:
-    """The ambient checkpoint policy, or None when none is installed."""
-    return _active_policy
-
-
-def set_active_policy(policy: CheckpointPolicy | None) -> CheckpointPolicy | None:
-    """Install ``policy`` ambiently; returns the previous one."""
-    global _active_policy
-    previous = _active_policy
-    _active_policy = policy
-    return previous
-
-
-@contextmanager
-def checkpointing_activated(policy: CheckpointPolicy):
-    """Install ``policy`` ambiently for the duration of the block."""
-    previous = set_active_policy(policy)
-    try:
-        yield policy
-    finally:
-        set_active_policy(previous)
 
 
 def manager_for_label(policy: CheckpointPolicy, label: str,

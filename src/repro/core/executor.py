@@ -33,7 +33,7 @@ from repro.data.store import ColumnarPopulation
 from repro.faults import FaultEvent, FaultPlan
 from repro.grouping.base import Group
 from repro.nn.optim import SGD
-from repro.parallel import ParallelMap, get_active, worker_state
+from repro.parallel import ParallelMap, worker_state
 from repro.shm import ShmChannel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -155,10 +155,10 @@ def _run_in_worker(task: tuple) -> list[FaultEvent]:
 class GroupExecutor:
     """Runs a round's sampled groups on a :class:`repro.parallel.ParallelMap`.
 
-    The pool is an explicit shared ``parallel`` > the ambient one
-    (``repro.parallel.activated``) > a fresh pool on ``backend`` that this
-    executor owns and shuts down in :meth:`close`; shared pools are left
-    open. ``label`` is the trainer's, named in errors and in the
+    The pool is a shared ``parallel`` (the trainer passes its argument,
+    else its run context's) or, when None, a fresh pool on ``backend`` that
+    this executor owns and shuts down in :meth:`close`; shared pools are
+    left open. ``label`` is the trainer's, named in errors and in the
     worker-state token. Holds no reference back to the trainer, so a
     dropped trainer (and its dataset) is freed without a GC pass.
     """
@@ -171,11 +171,8 @@ class GroupExecutor:
         backend: str = "serial",
         label: str = "group-fel",
     ):
-        shared = parallel if parallel is not None else get_active()
-        self.owns_pool = shared is None
-        self.pmap = shared
-        if shared is None:
-            self.pmap = ParallelMap(backend, telemetry=runner.telemetry)
+        self.owns_pool = parallel is None
+        self.pmap = parallel or ParallelMap(backend, telemetry=runner.telemetry)
         self.label = label
         self.token = f"executor/{label}/{next(_TOKENS)}"
         #: shared-memory rings, created by the first process-pool dispatch

@@ -15,7 +15,6 @@ from __future__ import annotations
 import os
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,12 +24,12 @@ from repro.checkpoint import (
     CheckpointManager,
     capture_state,
     config_fingerprint,
-    get_active_policy as get_active_checkpoint_policy,
     manager_for_label,
     read_checkpoint,
     restore_state,
     write_checkpoint,
 )
+from repro.context import RunContext, current
 from repro.core.aggregation import weighted_average
 from repro.core.executor import GroupExecutor, GroupRunner
 
@@ -41,18 +40,13 @@ from repro.core.strategies import LocalStrategy, PlainSGDStrategy
 from repro.costs.ledger import CostLedger
 from repro.costs.model import CostModel, LinearCost, QuadraticCost
 from repro.data.store import ColumnarPopulation
-from repro.faults import FaultEvent, FaultPlan, FaultTrace, get_active_plan
+from repro.faults import FaultEvent, FaultPlan, FaultTrace
 from repro.grouping.base import Group, Grouper, group_clients_per_edge
 from repro.metrics.history import TrainingHistory
 from repro.nn.model import Model
 from repro.nn.optim import SGD
 from repro.parallel import ParallelMap, available_backends
-from repro.population import (
-    PopulationEngine,
-    PopulationModel,
-    PopulationTrace,
-    get_active_population,
-)
+from repro.population import PopulationEngine, PopulationModel, PopulationTrace
 from repro.rng import derive_seed, make_rng
 from repro.sampling.probability import WEIGHT_FUNCTIONS
 from repro.sampling.sampler import ADAPTIVE_METHODS, AggregationMode, GroupSampler
@@ -61,45 +55,7 @@ from repro.secure.backdoor import BackdoorDetector
 from repro.secure.secagg import SecureAggregator
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
-__all__ = ["TrainerConfig", "GroupFELTrainer", "engine_overrides_activated"]
-
-#: ambient round-engine overrides (see :func:`engine_overrides_activated`)
-_active_engine_overrides: dict | None = None
-
-
-@contextmanager
-def engine_overrides_activated(
-    *,
-    engine: str | None = None,
-    pipeline_rounds: bool | None = None,
-    sampling_scheme: str | None = None,
-):
-    """Override round-engine knobs on every trainer built in the block.
-
-    The experiment generators construct their own :class:`TrainerConfig`;
-    this is how the CLI's ``--engine`` / ``--pipeline-rounds`` /
-    ``--sampling-scheme`` flags reach them without
-    the generators knowing about any of it (the same ambient pattern as
-    ``parallel.activated``). Only the knobs passed non-None are
-    overridden; the trainer applies them with ``dataclasses.replace``,
-    never mutating the caller's config.
-    """
-    global _active_engine_overrides
-    overrides = {
-        k: v
-        for k, v in {
-            "engine": engine,
-            "pipeline_rounds": pipeline_rounds,
-            "sampling_scheme": sampling_scheme,
-        }.items()
-        if v is not None
-    }
-    previous = _active_engine_overrides
-    _active_engine_overrides = overrides
-    try:
-        yield overrides
-    finally:
-        _active_engine_overrides = previous
+__all__ = ["TrainerConfig", "GroupFELTrainer", "resolve_config"]
 
 
 @dataclass
@@ -122,7 +78,7 @@ class TrainerConfig:
 
     ``checkpoint_every`` sets the auto-save cadence (in global rounds) used
     when the trainer has a checkpoint directory (its ``checkpoint_dir=``
-    parameter, or the ambient :class:`repro.checkpoint.CheckpointPolicy`);
+    parameter, or the run context's :class:`repro.checkpoint.CheckpointPolicy`);
     None defers to the policy's cadence, defaulting to every round.
     """
 
@@ -237,6 +193,39 @@ class TrainerConfig:
             )
 
 
+def resolve_config(
+    config: TrainerConfig, context: RunContext, *, maintains_groups: bool = True
+) -> TrainerConfig:
+    """The config a trainer runs: ``config`` with ``context`` folded in.
+
+    The context's ``engine`` / ``pipeline_rounds`` / ``sampling_scheme``
+    override the config; its fault plan and population model fill the
+    config only where it has none, so the checkpoint fingerprint (which
+    reads the config) records them. A trainer that cannot maintain groups
+    (no grouper/edge_assignment) skips the context's population with a
+    ``RuntimeWarning`` and runs static. Returns ``config`` itself when the
+    context changes nothing; never mutates it.
+    """
+    overrides = {
+        name: getattr(context, name)
+        for name in ("engine", "pipeline_rounds", "sampling_scheme")
+        if getattr(context, name) is not None
+    }
+    if context.faults and config.faults is None:
+        overrides["faults"] = context.faults
+    if context.population and config.population is None:
+        if maintains_groups:
+            overrides["population"] = context.population
+        else:
+            warnings.warn(
+                "run-context population model ignored: trainer has no "
+                "grouper/edge_assignment",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+    return replace(config, **overrides) if overrides else config
+
+
 class GroupFELTrainer:
     """Run group-based federated edge learning (Algorithm 1).
 
@@ -265,7 +254,7 @@ class GroupFELTrainer:
         remark on utilizing leftover data via regrouping).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry` facade. When given (or
-        ambiently activated via ``repro.telemetry.activated``), every round
+        carried by the run context, see :mod:`repro.context`), every round
         emits nested wall-clock spans (``round > group > client_update /
         secagg / backdoor / aggregate``) plus cost/sampling/aggregation
         metrics — and, under a fault plan, the ``faults.*`` /
@@ -273,28 +262,34 @@ class GroupFELTrainer:
     parallel:
         Optional shared :class:`repro.parallel.ParallelMap` to run group
         rounds on (it stays open when this trainer closes). Defaults to
-        the ambient instance (``repro.parallel.activated``), else a fresh
-        pool built from ``config.parallel_backend`` that this trainer owns
-        and shuts down in :meth:`close`. How groups reach the pool is
+        the run context's pool, else a fresh pool built from
+        ``config.parallel_backend`` that this trainer owns and shuts down in
+        :meth:`close`. How groups reach the pool is
         :mod:`repro.core.executor`'s business.
     checkpoint_dir:
         Directory for crash-safe auto-checkpoints: :meth:`run` saves
         complete trainer state every ``config.checkpoint_every`` rounds
         (default: every round) via :class:`repro.checkpoint.CheckpointManager`.
-        Omitted, the ambient :class:`repro.checkpoint.CheckpointPolicy`
-        (``repro.checkpoint.checkpointing_activated``) applies, each trainer
-        writing under ``policy.dir/<label>/`` — and auto-resuming from the
-        latest checkpoint at construction when the policy says so.
+        Omitted, the run context's :class:`repro.checkpoint.CheckpointPolicy`
+        applies, each trainer writing under ``policy.dir/<label>/`` — and,
+        when the policy says so, resuming from the latest checkpoint there
+        at the start of the first :meth:`run`.
+
+    Run context
+    -----------
+    The installed :class:`repro.context.RunContext` is read once, here:
+    :func:`resolve_config` folds it into :attr:`config`, and the pool and
+    checkpoint policy are taken from it. Nothing reads it afterwards.
 
     Fault injection
     ---------------
-    ``config.faults`` (or an ambient plan installed via
-    ``repro.faults.plan_activated``) schedules client dropouts, stragglers,
-    uplink message loss, and whole-group failures. Decisions are pure
-    functions of the plan seed and the site ids, so a faulted run replays
-    bit-identically on any parallel backend. Injected events accumulate in
-    :attr:`fault_trace`; straggler/retry wall-clock folds into the cost
-    ledger's fault-overhead series and the wall-clock simulator.
+    ``config.faults`` (or the run context's plan) schedules client
+    dropouts, stragglers, uplink message loss, and whole-group failures.
+    Decisions are pure functions of the plan seed and the site ids, so a
+    faulted run replays bit-identically on any parallel backend. Injected
+    events accumulate in :attr:`fault_trace`; straggler/retry wall-clock
+    folds into the cost ledger's fault-overhead series and the wall-clock
+    simulator.
     """
 
     def __init__(
@@ -317,9 +312,12 @@ class GroupFELTrainer:
         parallel: ParallelMap | None = None,
         checkpoint_dir: str | os.PathLike | None = None,
     ):
-        #: resolved once at construction: the explicit instance, the
-        #: ambient one (``repro.telemetry.activated``), or the no-op null.
-        self.telemetry = resolve_telemetry(telemetry)
+        context = current()
+        #: resolved once at construction: the explicit instance, the run
+        #: context's, or the no-op null.
+        self.telemetry = resolve_telemetry(
+            telemetry if telemetry is not None else context.telemetry
+        )
         self.model_fn = model_fn
         self.fed = fed
         if not fed.has_data:
@@ -329,11 +327,11 @@ class GroupFELTrainer:
                 "FederatedDataset) so clients can be materialized"
             )
         self.groups = list(groups)
-        self.config = config or TrainerConfig()
-        if _active_engine_overrides:
-            # CLI-level round-engine knobs (see engine_overrides_activated);
-            # replace() keeps the caller's config object untouched.
-            self.config = replace(self.config, **_active_engine_overrides)
+        self.config = resolve_config(
+            config or TrainerConfig(),
+            context,
+            maintains_groups=grouper is not None and edge_assignment is not None,
+        )
         self.cost_model = cost_model or CostModel(
             training=LinearCost(c1=1.0), group_op=QuadraticCost(c2=1.0)
         )
@@ -346,46 +344,23 @@ class GroupFELTrainer:
         ):
             raise ValueError("regroup_every requires grouper and edge_assignment")
 
-        #: resolved fault plan: the config's, else the ambient one (see
-        #: ``repro.faults.plan_activated``), else None. An empty plan
-        #: (no injectors) counts as no plan.
-        plan = (
-            self.config.faults
-            if self.config.faults is not None
-            else get_active_plan()
-        )
-        self.fault_plan: FaultPlan | None = plan if plan else None
+        #: the resolved config's fault plan; an empty plan (no injectors)
+        #: counts as no plan.
+        self.fault_plan: FaultPlan | None = self.config.faults or None
         #: every fault injected so far (see ``FaultTrace.signature`` for
         #: the deterministic-replay fingerprint)
         self.fault_trace = FaultTrace()
 
-        #: resolved population model: the config's, else the ambient one
-        #: (see ``repro.population.population_activated``), else None. An
-        #: empty model (no dynamics) counts as no model.
-        population = (
-            self.config.population
-            if self.config.population is not None
-            else get_active_population()
-        )
-        self.population: PopulationModel | None = population if population else None
+        #: the resolved config's population model; an empty model (no
+        #: dynamics) counts as no model.
+        self.population: PopulationModel | None = self.config.population or None
         if self.population is not None and (
             grouper is None or edge_assignment is None
         ):
-            if self.config.population is not None:
-                raise ValueError(
-                    "population dynamics require grouper and edge_assignment "
-                    "(online group maintenance re-forms groups as clients "
-                    "churn)"
-                )
-            # Ambient model, but this trainer cannot maintain groups —
-            # skip rather than silently corrupt the static partition.
-            warnings.warn(
-                "ambient population model ignored: trainer has no "
-                "grouper/edge_assignment",
-                RuntimeWarning,
-                stacklevel=2,
+            raise ValueError(
+                "population dynamics require grouper and edge_assignment "
+                "(online group maintenance re-forms groups as clients churn)"
             )
-            self.population = None
 
         self.rng = make_rng(self.config.seed)
         self.model: Model = model_fn()
@@ -475,17 +450,21 @@ class GroupFELTrainer:
         #: where and how the sampled groups run (serial/thread/process)
         self.executor = GroupExecutor(
             self._group_runner(),
-            parallel=parallel,
+            parallel=parallel if parallel is not None else context.parallel,
             backend=self.config.parallel_backend,
             label=label,
         )
 
         # ------------------------------------------------- checkpointing
-        # Explicit directory > ambient policy > none. Under a policy each
-        # trainer namespaces its own subdirectory by label; auto-resume
-        # (policy.resume) must run after the executor is set up because it
-        # refreshes it.
-        policy = get_active_checkpoint_policy()
+        # Explicit directory > the run context's policy > none. Under a
+        # policy each trainer namespaces its own subdirectory by label.
+        policy = context.checkpoint
+        #: resume from the policy's latest checkpoint at the top of the
+        #: first run() — only then does a subclass's state exist to restore
+        #: into (cleared by any load_checkpoint)
+        self._auto_resume = (
+            checkpoint_dir is None and policy is not None and policy.resume
+        )
         self.checkpoint_manager: CheckpointManager | None = None
         if checkpoint_dir is not None:
             self.checkpoint_manager = CheckpointManager(
@@ -500,10 +479,6 @@ class GroupFELTrainer:
                 every=self.config.checkpoint_every,
                 telemetry=self.telemetry,
             )
-            if policy.resume:
-                latest = self.checkpoint_manager.latest()
-                if latest is not None:
-                    self.load_checkpoint(latest)
 
     # ------------------------------------------------------------------ plumbing
     def _group_runner(self) -> GroupRunner:
@@ -828,7 +803,7 @@ class GroupFELTrainer:
             if self.checkpoint_manager is None:
                 raise ValueError(
                     "save_checkpoint() needs a path when the trainer has no "
-                    "checkpoint_dir (and no ambient checkpoint policy)"
+                    "checkpoint_dir (and its run context no checkpoint policy)"
                 )
             return self.checkpoint_manager.save(state, self.round_idx, meta=meta)
 
@@ -847,6 +822,7 @@ class GroupFELTrainer:
         fingerprint must match this trainer's config in every field that
         can change a result (see :func:`repro.checkpoint.config_fingerprint`).
         """
+        self._auto_resume = False
         path = os.fspath(path)
         if os.path.isdir(path):
             latest = CheckpointManager(path).latest()
@@ -960,10 +936,17 @@ class GroupFELTrainer:
         curves end within the budget.
 
         With a checkpoint directory configured (``checkpoint_dir=`` or the
-        ambient policy), complete trainer state is saved atomically every
-        ``config.checkpoint_every`` rounds — a crashed run resumes from the
-        last boundary via :meth:`load_checkpoint` with bit-identical curves.
+        run context's policy), complete trainer state is saved atomically
+        every ``config.checkpoint_every`` rounds — a crashed run resumes from
+        the last boundary via :meth:`load_checkpoint` with bit-identical
+        curves. Under a policy with ``resume``, the first call starts by
+        loading the latest checkpoint under its label, if there is one.
         """
+        if self._auto_resume:
+            self._auto_resume = False
+            latest = self.checkpoint_manager.latest()
+            if latest is not None:
+                self.load_checkpoint(latest)
         max_rounds = max_rounds if max_rounds is not None else self.config.max_rounds
         budget = cost_budget if cost_budget is not None else self.config.cost_budget
         for cb in self.callbacks:

@@ -14,6 +14,14 @@ Usage::
     python -m repro.experiments fig9 --checkpoint-dir ckpts/fig9 --resume
     python -m repro.experiments tta --scale fast
     python -m repro.experiments list
+
+The run-wide flags (``--telemetry``, ``--parallel``, ``--faults``,
+``--population``, ``--checkpoint-dir``/``--resume``, ``--engine``/
+``--pipeline-rounds``/``--sampling-scheme``) become one
+:class:`repro.context.RunContext`, installed around the generator; each
+trainer it builds reads the context once. A ``--resume`` whose checkpoint
+was written under other result-changing settings (a different
+``--faults`` or ``--population``, say) exits 1 naming the fields.
 """
 
 from __future__ import annotations
@@ -21,14 +29,14 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from contextlib import ExitStack
+from contextlib import nullcontext
 
-from repro.checkpoint import CheckpointPolicy, checkpointing_activated
-from repro.core.trainer import engine_overrides_activated
-from repro.faults import FaultPlan, plan_activated
-from repro.parallel import ParallelMap, activated as parallel_activated
-from repro.population import PopulationModel, population_activated
-from repro.telemetry import Telemetry, activated
+from repro.checkpoint import CheckpointError, CheckpointPolicy
+from repro.context import RunContext, activated
+from repro.faults import FaultPlan
+from repro.parallel import ParallelMap
+from repro.population import PopulationModel
+from repro.telemetry import Telemetry
 
 from repro.experiments.figures import (
     fig2a_group_overheads,
@@ -239,30 +247,28 @@ def main(argv: list[str] | None = None) -> int:
         if args.population:
             telemetry.meta["population"] = args.population
 
-    # Ambient activation: every trainer the generator constructs picks up
-    # the telemetry instance / fault plan / shared worker pool without the
-    # generators knowing about any of them.
-    with ExitStack() as stack:
-        if args.engine or args.pipeline_rounds or args.sampling_scheme:
-            stack.enter_context(engine_overrides_activated(
-                engine=args.engine,
-                pipeline_rounds=args.pipeline_rounds or None,
-                sampling_scheme=args.sampling_scheme,
-            ))
-        if telemetry is not None:
-            stack.enter_context(activated(telemetry))
-        if fault_plan is not None:
-            stack.enter_context(plan_activated(fault_plan))
-        if population_model is not None:
-            stack.enter_context(population_activated(population_model))
-        if pmap is not None:
-            if telemetry is not None:
-                pmap.telemetry = telemetry
-            stack.enter_context(pmap)  # closes the pool on the way out
-            stack.enter_context(parallel_activated(pmap))
-        if checkpoint_policy is not None:
-            stack.enter_context(checkpointing_activated(checkpoint_policy))
-        result = fn(args.scale, seed=args.seed) if takes_seed else fn(args.scale)
+    # One run context: every trainer the generator constructs reads it once
+    # and picks up the telemetry, pool, fault plan, population, checkpoint
+    # policy and engine knobs without the generators knowing about any.
+    context = RunContext(
+        telemetry=telemetry,
+        parallel=pmap,
+        faults=fault_plan,
+        population=population_model,
+        checkpoint=checkpoint_policy,
+        engine=args.engine,
+        pipeline_rounds=args.pipeline_rounds or None,
+        sampling_scheme=args.sampling_scheme,
+    )
+    if pmap is not None and telemetry is not None:
+        pmap.telemetry = telemetry
+    # The pool (if any) is closed on the way out.
+    with pmap or nullcontext(), activated(context):
+        try:
+            result = fn(args.scale, seed=args.seed) if takes_seed else fn(args.scale)
+        except CheckpointError as exc:
+            print(f"cannot resume: {exc}", file=sys.stderr)
+            return 1
     if telemetry is not None:
         telemetry.to_jsonl(args.telemetry)
         print(telemetry.summary(), file=sys.stderr)

@@ -5,13 +5,13 @@ from __future__ import annotations
 from dataclasses import replace
 
 from repro.baselines.registry import build_method
+from repro.context import current
 from repro.core.strategies import PlainSGDStrategy
-from repro.core.trainer import GroupFELTrainer
+from repro.core.trainer import GroupFELTrainer, resolve_config
 from repro.experiments.configs import Workload
 from repro.grouping import Grouper, group_clients_per_edge
 from repro.metrics.history import TrainingHistory
-from repro.parallel import ParallelMap, get_active as get_active_parallel
-from repro.population import PopulationModel, get_active_population
+from repro.parallel import ParallelMap
 from repro.rng import derive_seed
 
 __all__ = ["run_method", "run_methods", "run_combo"]
@@ -35,11 +35,10 @@ def run_method(
     """Run one named method (see ``repro.baselines.METHODS``) to completion.
 
     ``telemetry`` (a :class:`repro.telemetry.Telemetry`) is forwarded to the
-    trainer; omit it to use the ambient instance (see
-    ``repro.telemetry.activated``), which defaults to a no-op. ``faults`` (a
-    :class:`repro.faults.FaultPlan` or spec string) overrides the workload
-    config's plan; omit it to use the config's, falling back to the ambient
-    plan (see ``repro.faults.plan_activated``). ``parallel`` (a
+    trainer; omit it to use the run context's (see :mod:`repro.context`),
+    which defaults to a no-op. ``faults`` (a :class:`repro.faults.FaultPlan`
+    or spec string) overrides the workload config's plan; omit it to use
+    the config's, falling back to the run context's. ``parallel`` (a
     :class:`repro.parallel.ParallelMap`) shares one persistent worker pool
     across calls; omit it to let the trainer build (and close) its own.
     The trainer is always closed before returning, so pooled backends never
@@ -53,13 +52,12 @@ def run_method(
 
     ``population`` (a :class:`repro.population.PopulationModel` or spec
     string) schedules client churn, label drift, and feature corruption;
-    omit it to use the config's model, falling back to the ambient one
-    (see ``repro.population.population_activated``). Note that drift and
-    corruption mutate client shards in place — when calling this directly
-    for several methods over *one* workload, restore pristine shards
-    between calls (``fed.snapshot_shards``/``restore_shards``) or build a
-    fresh workload per method; :func:`run_methods` does the restore
-    automatically.
+    omit it to use the config's model, falling back to the run context's.
+    Note that drift and corruption mutate client shards in place — when
+    calling this directly for several methods over *one* workload, restore
+    pristine shards between calls (``fed.snapshot_shards``/
+    ``restore_shards``) or build a fresh workload per method;
+    :func:`run_methods` does the restore automatically.
 
     ``sampling_scheme`` overrides the draw mechanics
     (``sequential_wor``/``multinomial``/``stratified``); None keeps the
@@ -94,20 +92,6 @@ def run_method(
         trainer.close()
 
 
-def _resolve_population(workload: Workload, population) -> PopulationModel | None:
-    """The population model a sweep will actually run under — argument >
-    workload config > ambient — parsed exactly as ``TrainerConfig`` would,
-    so the sweep's mutation check matches the trainers'."""
-    model = population if population is not None else workload.trainer_config.population
-    if model is None:
-        model = get_active_population()
-    if isinstance(model, str):
-        model = PopulationModel.from_spec(
-            model, seed=derive_seed(workload.trainer_config.seed, "population")
-        )
-    return model
-
-
 def run_methods(
     names: list[str],
     workload: Workload,
@@ -133,20 +117,24 @@ def run_methods(
     are independent of sweep order. The workload is left pristine when the
     sweep returns.
 
-    To checkpoint/resume a whole sweep, install an ambient
-    :class:`repro.checkpoint.CheckpointPolicy`
-    (``repro.checkpoint.checkpointing_activated``): each method's trainer
-    then checkpoints under its own label subdirectory — per-method
+    To checkpoint/resume a whole sweep, run it under a
+    :class:`repro.context.RunContext` carrying a
+    :class:`repro.checkpoint.CheckpointPolicy`: each method's trainer then
+    checkpoints under its own label subdirectory — per-method
     ``checkpoint_dir`` arguments would collide on one directory.
     """
-    owns_pool = (
-        parallel is None
-        and get_active_parallel() is None
-        and workload.trainer_config.parallel_backend != "serial"
-    )
+    context = current()
+    cfg = workload.trainer_config
+    if parallel is None:
+        parallel = context.parallel
+    owns_pool = parallel is None and cfg.parallel_backend != "serial"
     if owns_pool:
-        parallel = ParallelMap(workload.trainer_config.parallel_backend)
-    model = _resolve_population(workload, population)
+        parallel = ParallelMap(cfg.parallel_backend)
+    if population is not None:
+        cfg = replace(cfg, population=population)
+    # The model the sweep's trainers will resolve (build_method always
+    # hands them a grouper), so the shard snapshot matches what they run.
+    model = resolve_config(cfg, context).population
     pristine = None
     if model is not None and (model.has_drift or model.has_corruption):
         pristine = workload.fed.snapshot_shards(

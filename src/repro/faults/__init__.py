@@ -17,13 +17,7 @@ from repro.faults.injectors import (
     RetryPolicy,
     Straggler,
 )
-from repro.faults.plan import (
-    FaultPlan,
-    UplinkOutcome,
-    get_active_plan,
-    plan_activated,
-    set_active_plan,
-)
+from repro.faults.plan import FaultPlan, UplinkOutcome
 from repro.faults.trace import FaultEvent, FaultTrace
 
 __all__ = [
@@ -38,7 +32,4 @@ __all__ = [
     "UplinkOutcome",
     "FaultEvent",
     "FaultTrace",
-    "get_active_plan",
-    "set_active_plan",
-    "plan_activated",
 ]

@@ -29,12 +29,13 @@ Comma-separated ``name:prob[:param][@phase]`` terms::
     loss:0.15              15% uplink message loss (default retry policy)
     groupfail:0.05         5% whole-group failure per round
 
-e.g. ``--faults dropout:0.2,straggler:0.1:2.0,groupfail:0.05``.
+e.g. ``--faults dropout:0.2,straggler:0.1:2.0,groupfail:0.05``. The CLI
+hands the parsed plan to every trainer as ``RunContext(faults=plan)`` (see
+:mod:`repro.context`); a trainer whose ``TrainerConfig.faults`` is set
+keeps its own.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
 
 from repro.faults.injectors import (
     ClientDropout,
@@ -49,9 +50,6 @@ from repro.rng import derive_seed, make_rng
 __all__ = [
     "FaultPlan",
     "UplinkOutcome",
-    "get_active_plan",
-    "set_active_plan",
-    "plan_activated",
 ]
 
 
@@ -278,32 +276,3 @@ class FaultPlan:
         if not injectors:
             raise ValueError(f"fault spec {spec!r} defines no injectors")
         return cls(seed=seed, injectors=injectors)
-
-
-#: Ambient plan (mirrors ``repro.telemetry``'s activation pattern): the CLI
-#: installs a plan here so trainers buried inside figure generators pick it
-#: up without every generator growing a ``faults=`` parameter.
-_active_plan: FaultPlan | None = None
-
-
-def get_active_plan() -> FaultPlan | None:
-    """The ambient fault plan, or None when no faults are scheduled."""
-    return _active_plan
-
-
-def set_active_plan(plan: FaultPlan | None) -> FaultPlan | None:
-    """Install ``plan`` ambiently; returns the previous plan."""
-    global _active_plan
-    previous = _active_plan
-    _active_plan = plan
-    return previous
-
-
-@contextmanager
-def plan_activated(plan: FaultPlan):
-    """Install ``plan`` ambiently for the duration of the block."""
-    previous = set_active_plan(plan)
-    try:
-        yield plan
-    finally:
-        set_active_plan(previous)

@@ -20,7 +20,9 @@ A :class:`ParallelMap` is a **long-lived** object: the executor is created
 lazily on the first pooled :meth:`map` call and then reused by every
 subsequent call until :meth:`close` (or the ``with`` block) shuts it down.
 Per-round pool startup — historically the dominant dispatch cost — is paid
-once per pool lifetime.
+once per pool lifetime. One pool can serve every trainer of a run: pass
+it as ``parallel=``, or as ``RunContext(parallel=...)`` (what the CLI's
+``--parallel`` flag does; see :mod:`repro.context`).
 
 Worker state
 ------------
@@ -46,7 +48,6 @@ import os
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from contextlib import contextmanager
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
@@ -59,9 +60,6 @@ __all__ = [
     "available_backends",
     "worker_state",
     "worker_init_count",
-    "activated",
-    "get_active",
-    "set_active",
 ]
 
 _BACKENDS = ("serial", "thread", "process")
@@ -145,7 +143,7 @@ class ParallelMap:
         startup cost — profile before raising, per the optimization guide).
     telemetry:
         Optional :class:`repro.telemetry.Telemetry`; defaults to the
-        ambient instance. Records the ``pool.*`` counters described in the
+        run context's (see :func:`repro.telemetry.resolve`). Records the ``pool.*`` counters described in the
         module docstring. Assignable after construction.
     """
 
@@ -302,32 +300,3 @@ class ParallelMap:
             f"ParallelMap(backend={self.backend!r}, "
             f"max_workers={self.max_workers}, {state})"
         )
-
-
-# --------------------------------------------------------------------------
-# Ambient instance, mirroring repro.telemetry.activated: the CLI installs
-# one shared pool so every trainer a figure generator constructs reuses it.
-_active: ParallelMap | None = None
-
-
-def get_active() -> ParallelMap | None:
-    """The ambient shared pool, or None when none is installed."""
-    return _active
-
-
-def set_active(pmap: ParallelMap | None) -> ParallelMap | None:
-    """Install ``pmap`` ambiently; returns the previous instance."""
-    global _active
-    previous = _active
-    _active = pmap
-    return previous
-
-
-@contextmanager
-def activated(pmap: ParallelMap):
-    """Install ``pmap`` ambiently for the duration of the block."""
-    previous = set_active(pmap)
-    try:
-        yield pmap
-    finally:
-        set_active(previous)

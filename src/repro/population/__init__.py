@@ -25,9 +25,6 @@ from repro.population.dynamics import (
     InitialActive,
     LabelDrift,
     PopulationModel,
-    get_active_population,
-    population_activated,
-    set_active_population,
 )
 from repro.population.engine import PopulationEngine, PopulationStep
 from repro.population.maintenance import OnlineGroupMaintainer
@@ -50,7 +47,4 @@ __all__ = [
     "OnlineGroupMaintainer",
     "PopulationEvent",
     "PopulationTrace",
-    "get_active_population",
-    "set_active_population",
-    "population_activated",
 ]

@@ -38,12 +38,14 @@ Comma-separated ``name:value[:param...][@mode]`` terms::
     corrupt:0.5:4:2@ramp       fire w.p. 0.5/round; severity ramps 1→4 and
                                saturates (default @cycle wraps around)
 
-e.g. ``--population start:0.7,join:1.0,leave:0.03,drift:0.1:0.4``.
+e.g. ``--population start:0.7,join:1.0,leave:0.03,drift:0.1:0.4``. The
+CLI hands the parsed model to every trainer as
+``RunContext(population=model)`` (see :mod:`repro.context`); a trainer
+whose ``TrainerConfig.population`` is set keeps its own.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,9 +61,6 @@ __all__ = [
     "PopulationModel",
     "DRIFT_MODES",
     "CORRUPTION_MODES",
-    "get_active_population",
-    "set_active_population",
-    "population_activated",
 ]
 
 DRIFT_MODES = ("step", "linear", "corr")
@@ -506,32 +505,3 @@ class PopulationModel:
         if not dynamics:
             raise ValueError(f"population spec {spec!r} defines no dynamics")
         return cls(seed=seed, dynamics=dynamics)
-
-
-#: Ambient model (mirrors ``repro.faults``'s activation pattern): the CLI
-#: installs a model here so trainers buried inside figure generators pick
-#: it up without every generator growing a ``population=`` parameter.
-_active_population: PopulationModel | None = None
-
-
-def get_active_population() -> PopulationModel | None:
-    """The ambient population model, or None for a static population."""
-    return _active_population
-
-
-def set_active_population(model: PopulationModel | None) -> PopulationModel | None:
-    """Install ``model`` ambiently; returns the previous model."""
-    global _active_population
-    previous = _active_population
-    _active_population = model
-    return previous
-
-
-@contextmanager
-def population_activated(model: PopulationModel):
-    """Install ``model`` ambiently for the duration of the block."""
-    previous = set_active_population(model)
-    try:
-        yield model
-    finally:
-        set_active_population(previous)

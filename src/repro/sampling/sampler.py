@@ -85,12 +85,12 @@ def aggregation_weights(
         The paper's n (all data across all groups); must be positive for
         the unbiased/stabilized modes, which divide by it.
     inclusion:
-        The scheme's expected multiplicity α_g for each selected group.
-        The unbiased weight is then ``multiplicity_g·n_g/(n·α_g)``.
-        Omitted, the legacy Eq. (4) divisor ``S·p_g`` is used — exact
-        only for multinomial sampling or S=1; under the sequential WOR
-        draw with S>1 it is the *biased* pre-fix weighting (kept for
-        comparison; pass the scheme's α for correctness).
+        The scheme's expected multiplicity α_g for each selected group
+        (``scheme.expected_multiplicity``); required by the unbiased and
+        stabilized modes, ignored by ``biased``. The unbiased weight is then
+        ``multiplicity_g·n_g/(n·α_g)``. Eq. (4) verbatim is
+        ``inclusion=S·p_g`` — exact only for multinomial sampling or S=1,
+        *biased* under the sequential WOR draw with S>1.
     multiplicity:
         How many times each selected group was drawn (≥1; defaults to 1,
         which is always the case without replacement). With-replacement
@@ -122,12 +122,14 @@ def aggregation_weights(
             f"got {total_samples} (0 would yield inf/nan weights)"
         )
     if inclusion is None:
-        # Legacy Eq. (4): α = S·p_g, with S the number of draws.
-        alpha = p_selected * float(mult.sum())
-    else:
-        alpha = np.asarray(inclusion, dtype=np.float64)
-        if alpha.shape != (s,):
-            raise ValueError(f"inclusion shape {alpha.shape} != ({s},)")
+        raise ValueError(
+            f"{mode.value} weights divide by each group's expected "
+            "multiplicity: pass inclusion= (the scheme's "
+            "scheme.expected_multiplicity; S·p_g for Eq. 4 verbatim)"
+        )
+    alpha = np.asarray(inclusion, dtype=np.float64)
+    if alpha.shape != (s,):
+        raise ValueError(f"inclusion shape {alpha.shape} != ({s},)")
     if np.any(alpha <= 0) or not np.all(np.isfinite(alpha)):
         raise ValueError(
             f"expected multiplicities must be finite and positive, got {alpha}"

@@ -21,13 +21,14 @@ Enable it for a training run either explicitly::
 
     trainer = GroupFELTrainer(..., telemetry=tel)
 
-or ambiently (how the CLI's ``--telemetry out.jsonl`` flag works)::
+or through the run context (how the CLI's ``--telemetry out.jsonl`` flag
+works; see :mod:`repro.context`)::
 
-    with activated(tel):
+    with activated(RunContext(telemetry=tel)):
         run_method("group_fel", workload)
     tel.to_jsonl("out.jsonl")
 
-With no telemetry passed or activated, every instrumentation point
+With no telemetry passed or in the context, every instrumentation point
 resolves to :data:`NULL_TELEMETRY`, whose operations are constant-time
 no-ops — results are bit-identical and overhead is below the noise floor.
 """
@@ -45,10 +46,7 @@ from repro.telemetry.facade import (
     NULL_TELEMETRY,
     NullTelemetry,
     Telemetry,
-    activated,
-    get_active,
     resolve,
-    set_active,
 )
 from repro.telemetry.metrics import Counter, Gauge, Histogram, MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
@@ -57,9 +55,6 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
-    "activated",
-    "get_active",
-    "set_active",
     "resolve",
     "Span",
     "Tracer",

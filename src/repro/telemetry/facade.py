@@ -1,17 +1,17 @@
-"""The `Telemetry` facade and the process-wide active instance.
+"""The `Telemetry` facade and its resolution.
 
 One object bundles the three collectors (tracer, metrics, event bus) plus
 the exporters, and is what gets threaded through the trainer stack. Two
-resolution paths exist:
+resolution paths exist (see :func:`resolve`):
 
 * **Explicit** — pass ``telemetry=`` to ``GroupFELTrainer`` (and friends).
-* **Ambient** — ``with activated(tel): ...`` installs a process-wide
-  default picked up by any component constructed inside the block. This is
-  how ``python -m repro.experiments <fig> --telemetry out.jsonl`` reaches
-  the trainers buried inside figure generators without changing their
-  signatures.
+* **Run context** — ``with activated(RunContext(telemetry=tel)): ...``
+  (:mod:`repro.context`) reaches any component constructed inside the
+  block. This is how ``python -m repro.experiments <fig> --telemetry
+  out.jsonl`` reaches the trainers buried inside figure generators without
+  changing their signatures.
 
-When nothing is installed, :data:`NULL_TELEMETRY` is active: a singleton
+When neither gives one, :data:`NULL_TELEMETRY` is used: a singleton
 whose every operation is a constant-time no-op (``span`` returns one shared
 null context manager; the metric/event methods are empty). Instrumented
 hot paths therefore cost an attribute lookup and a call when telemetry is
@@ -21,9 +21,10 @@ off — the benchmark suite holds this under 3% of a training run.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import Callable
 
+from repro.context import current
 from repro.telemetry.events import Event, EventBus
 from repro.telemetry.exporters import (
     summary as _summary,
@@ -38,9 +39,6 @@ __all__ = [
     "Telemetry",
     "NullTelemetry",
     "NULL_TELEMETRY",
-    "get_active",
-    "set_active",
-    "activated",
     "resolve",
 ]
 
@@ -155,7 +153,7 @@ class NullTelemetry(Telemetry):
     def _disabled(self) -> RuntimeError:
         return RuntimeError(
             "telemetry is disabled; construct a Telemetry() and pass it to "
-            "the trainer (or use repro.telemetry.activated)"
+            "the trainer (or install it in a repro.context.RunContext)"
         )
 
     def to_jsonl(self, path: str) -> int:
@@ -176,32 +174,10 @@ class NullTelemetry(Telemetry):
 
 NULL_TELEMETRY = NullTelemetry()
 
-_active: Telemetry = NULL_TELEMETRY
-
-
-def get_active() -> Telemetry:
-    """The ambient telemetry (``NULL_TELEMETRY`` unless one is installed)."""
-    return _active
-
-
-def set_active(telemetry: Telemetry | None) -> Telemetry:
-    """Install ``telemetry`` (None → disabled) ambiently; returns the previous."""
-    global _active
-    previous = _active
-    _active = telemetry if telemetry is not None else NULL_TELEMETRY
-    return previous
-
-
-@contextmanager
-def activated(telemetry: Telemetry):
-    """Install ``telemetry`` ambiently for the duration of the block."""
-    previous = set_active(telemetry)
-    try:
-        yield telemetry
-    finally:
-        set_active(previous)
-
 
 def resolve(telemetry: Telemetry | None) -> Telemetry:
-    """Explicit instance if given, else the ambient one (never None)."""
-    return telemetry if telemetry is not None else _active
+    """Explicit instance if given, else the run context's (see
+    :mod:`repro.context`), else :data:`NULL_TELEMETRY` — never None."""
+    if telemetry is None:
+        telemetry = current().telemetry
+    return telemetry if telemetry is not None else NULL_TELEMETRY

@@ -1,4 +1,4 @@
-"""Tests for CheckpointManager and the ambient CheckpointPolicy."""
+"""Tests for CheckpointManager and the run context's CheckpointPolicy."""
 
 from __future__ import annotations
 
@@ -6,17 +6,9 @@ import os
 
 import pytest
 
-from repro.checkpoint import (
-    CheckpointManager,
-    CheckpointPolicy,
-    checkpointing_activated,
-)
-from repro.checkpoint.manager import (
-    _slug,
-    get_active_policy,
-    manager_for_label,
-    set_active_policy,
-)
+from repro.checkpoint import CheckpointManager, CheckpointPolicy
+from repro.checkpoint.manager import _slug, manager_for_label
+from repro.context import RunContext, activated, current
 from repro.telemetry import Telemetry
 
 
@@ -97,23 +89,15 @@ class TestTelemetryCounters:
 
 class TestAmbientPolicy:
     def test_activation_scopes_and_restores(self, tmp_path):
-        assert get_active_policy() is None
+        assert current().checkpoint is None
         policy = CheckpointPolicy(dir=str(tmp_path))
-        with checkpointing_activated(policy):
-            assert get_active_policy() is policy
+        with activated(RunContext(checkpoint=policy)):
+            assert current().checkpoint is policy
             inner = CheckpointPolicy(dir=str(tmp_path / "b"), every=2)
-            with checkpointing_activated(inner):
-                assert get_active_policy() is inner
-            assert get_active_policy() is policy
-        assert get_active_policy() is None
-
-    def test_set_active_returns_previous(self, tmp_path):
-        policy = CheckpointPolicy(dir=str(tmp_path))
-        assert set_active_policy(policy) is None
-        try:
-            assert get_active_policy() is policy
-        finally:
-            assert set_active_policy(None) is policy
+            with activated(RunContext(checkpoint=inner)):
+                assert current().checkpoint is inner
+            assert current().checkpoint is policy
+        assert current().checkpoint is None
 
     def test_manager_for_label_namespaces_by_slug(self, tmp_path):
         policy = CheckpointPolicy(dir=str(tmp_path), every=4, keep=3)

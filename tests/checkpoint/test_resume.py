@@ -16,20 +16,24 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.baselines import FedCLARTrainer, IFCATrainer
 from repro.checkpoint import (
     CheckpointError,
     CheckpointPolicy,
     capture_state,
-    checkpointing_activated,
     config_fingerprint,
     write_checkpoint,
 )
+from repro.context import RunContext, activated
 from repro.core.callbacks import Callback
 from repro.core.strategies import ScaffoldStrategy
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.costs import paper_cost_model
+from repro.data import FederatedDataset, SyntheticImage
+from repro.faults import FaultPlan
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
+from repro.population import PopulationModel
 
 # Module-level so the process backend can pickle it.
 model_fn = functools.partial(make_mlp, 192, 10, seed=0)
@@ -306,12 +310,22 @@ class TestGuards:
         assert saved == ["ckpt_round_000004.ckpt", "ckpt_round_000006.ckpt"]
 
 
+class _RoundAtStart(Callback):
+    """Record the round a run() starts from (after any auto-resume)."""
+
+    def __init__(self):
+        self.rounds: list[int] = []
+
+    def on_train_start(self, trainer) -> None:
+        self.rounds.append(trainer.round_idx)
+
+
 class TestAmbientPolicyResume:
     def test_trainers_auto_resume_under_policy(self, small_fed, small_edges, tmp_path):
         golden = _finish(_make_trainer(small_fed, small_edges))
 
         policy = CheckpointPolicy(dir=str(tmp_path))
-        with checkpointing_activated(policy):
+        with activated(RunContext(checkpoint=policy)):
             first_leg = _make_trainer(small_fed, small_edges)
             try:
                 first_leg.run(max_rounds=3)
@@ -319,14 +333,19 @@ class TestAmbientPolicyResume:
                 first_leg.close()
         assert (tmp_path / "ckpt-test" / "ckpt_round_000003.ckpt").exists()
 
-        with checkpointing_activated(CheckpointPolicy(dir=str(tmp_path), resume=True)):
+        resume = CheckpointPolicy(dir=str(tmp_path), resume=True)
+        with activated(RunContext(checkpoint=resume)):
             second_leg = _make_trainer(small_fed, small_edges)
-            assert second_leg.round_idx == 3  # auto-resumed at construction
-            assert _finish(second_leg) == golden
+        # Construction leaves the trainer fresh; the first run() resumes.
+        assert second_leg.round_idx == 0
+        start = _RoundAtStart()
+        second_leg.callbacks.append(start)
+        assert _finish(second_leg) == golden
+        assert start.rounds == [3]
 
     def test_explicit_dir_beats_ambient_policy(self, small_fed, small_edges, tmp_path):
         policy = CheckpointPolicy(dir=str(tmp_path / "policy"))
-        with checkpointing_activated(policy):
+        with activated(RunContext(checkpoint=policy)):
             trainer = _make_trainer(
                 small_fed, small_edges, max_rounds=1,
                 checkpoint_dir=tmp_path / "explicit",
@@ -334,3 +353,93 @@ class TestAmbientPolicyResume:
             _finish(trainer)
         assert list((tmp_path / "explicit").glob("*.ckpt"))
         assert not (tmp_path / "policy").exists()
+
+
+class TestRunContextFingerprint:
+    """A plan or population that came from the run context is part of the
+    resolved config, so the strict fingerprint catches a resume without it."""
+
+    def test_context_plan_missing_on_resume_rejected(
+        self, small_fed, small_edges, tmp_path
+    ):
+        plan = FaultPlan.from_spec("dropout:0.3,groupfail:0.2", seed=3)
+        with activated(RunContext(faults=plan)):
+            writer = _make_trainer(
+                small_fed, small_edges, faults=None, max_rounds=2,
+                checkpoint_dir=tmp_path / "ck",
+            )
+        _finish(writer)
+        reader = _make_trainer(small_fed, small_edges, faults=None, max_rounds=2)
+        with pytest.raises(CheckpointError, match="faults"):
+            reader.load_checkpoint(tmp_path / "ck", strict=True)
+        reader.close()
+        with activated(RunContext(faults=plan)):
+            same = _make_trainer(small_fed, small_edges, faults=None, max_rounds=2)
+        assert same.load_checkpoint(tmp_path / "ck").round_idx == 2
+        same.close()
+
+    def test_context_population_changed_on_resume_rejected(self, tmp_path):
+        def make(spec, ckdir=None):
+            # Churn flips the store's active mask: never on a shared fixture.
+            train, test = SyntheticImage(noise_std=2.0, seed=0).train_test(1_500, 200)
+            fed = FederatedDataset.from_dataset(
+                train, test, num_clients=16, alpha=0.1, size_low=15,
+                size_high=50, rng=11,
+            )
+            edges = [np.arange(0, 8), np.arange(8, 16)]
+            groups = group_clients_per_edge(CoVGrouping(3, 1.0), fed.L, edges, rng=0)
+            cfg = TrainerConfig(
+                max_rounds=2, group_rounds=1, local_rounds=1, num_sampled=2, seed=7
+            )
+            with activated(RunContext(population=PopulationModel.from_spec(spec))):
+                return GroupFELTrainer(
+                    model_fn, fed, groups, cfg, paper_cost_model(),
+                    grouper=CoVGrouping(3, 1.0), edge_assignment=edges,
+                    checkpoint_dir=ckdir,
+                )
+
+        _finish(make("leave:0.05", tmp_path / "ck"))
+        reader = make("leave:0.3")
+        with pytest.raises(CheckpointError, match="population"):
+            reader.load_checkpoint(tmp_path / "ck")
+        reader.close()
+
+
+class TestClusteredAutoResume:
+    """Auto-resume runs once the subclass is built: IFCA's centers and
+    FedCLAR's cluster models come back instead of crashing or being reset."""
+
+    @pytest.mark.parametrize(
+        "cls, kwargs",
+        [
+            (IFCATrainer, {"num_clusters": 3}),
+            (FedCLARTrainer, {"cluster_round": 1, "num_clusters": 2}),
+        ],
+    )
+    def test_two_legs_match_uninterrupted(
+        self, cls, kwargs, small_fed, small_edges, tmp_path
+    ):
+        def make():
+            groups = group_clients_per_edge(
+                CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
+            )
+            cfg = TrainerConfig(
+                max_rounds=4, group_rounds=1, local_rounds=1, num_sampled=2, seed=7
+            )
+            return cls(
+                model_fn, small_fed, groups, cfg, paper_cost_model(),
+                label=cls.__name__, **kwargs,
+            )
+
+        golden = _finish(make())
+        with activated(RunContext(checkpoint=CheckpointPolicy(dir=str(tmp_path)))):
+            first_leg = make()
+        first_leg.run(max_rounds=2)
+        first_leg.close()
+        resume = CheckpointPolicy(dir=str(tmp_path), resume=True)
+        with activated(RunContext(checkpoint=resume)):
+            second_leg = make()
+        start = _RoundAtStart()
+        second_leg.callbacks.append(start)
+        assert _finish(second_leg) == golden
+        assert start.rounds == [2]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro.context import RunContext, current
 from repro.experiments.cli import GENERATORS, main
 
 
@@ -38,7 +39,7 @@ class TestCLI:
         assert "CoVG" in data["series"]
 
     def test_telemetry_flag_writes_trace(self, capsys, tmp_path):
-        from repro.telemetry import get_active, load_jsonl
+        from repro.telemetry import load_jsonl
 
         path = str(tmp_path / "trace.jsonl")
         # fig7 actually trains (fig5 only times grouping), so real spans land.
@@ -54,8 +55,8 @@ class TestCLI:
         assert {"round", "group", "client_update"} <= span_names
         counters = {r["name"] for r in records["counter"]}
         assert "groups_sampled" in counters
-        # The ambient instance was deactivated again on the way out.
-        assert not get_active().enabled
+        # The run context was uninstalled again on the way out.
+        assert current().telemetry is None
 
 
 class TestPopulationFlag:
@@ -64,14 +65,12 @@ class TestPopulationFlag:
         assert "bad --population spec" in capsys.readouterr().err
 
     def test_ambient_model_deactivated_after_run(self, capsys):
-        from repro.population import get_active_population
-
         # fig5 only times grouping (no trainers), so the run is cheap; the
         # point is that the model is installed for the run and gone after.
         assert main(["fig5", "--scale", "fast",
                      "--population", "leave:0.01"]) == 0
         capsys.readouterr()
-        assert get_active_population() is None
+        assert current().population is None
 
     def test_telemetry_meta_records_spec(self, capsys, tmp_path):
         from repro.telemetry import load_jsonl
@@ -86,29 +85,24 @@ class TestPopulationFlag:
 
 class TestEngineFlags:
     def test_overrides_reach_trainer_and_leave_config_untouched(self):
-        import repro.core.trainer as trainer_mod
-        from repro.core.trainer import TrainerConfig, engine_overrides_activated
+        from repro.core.trainer import TrainerConfig, resolve_config
 
         cfg = TrainerConfig()
-        with engine_overrides_activated(engine="reference", pipeline_rounds=True):
-            assert trainer_mod._active_engine_overrides == {
-                "engine": "reference",
-                "pipeline_rounds": True,
-            }
-        # The block is the whole lifetime; outside, nothing lingers and the
-        # caller's config object was never mutated.
-        assert trainer_mod._active_engine_overrides is None
+        resolved = resolve_config(
+            cfg, RunContext(engine="reference", pipeline_rounds=True)
+        )
+        assert (resolved.engine, resolved.pipeline_rounds) == ("reference", True)
+        # The caller's config object was never mutated, and an empty context
+        # builds no new config at all.
         assert cfg.engine == "auto"
         assert not cfg.pipeline_rounds
+        assert resolve_config(cfg, RunContext()) is cfg
 
     def test_trainer_picks_up_overrides(self, small_fed, small_edges):
         import functools
 
-        from repro.core.trainer import (
-            GroupFELTrainer,
-            TrainerConfig,
-            engine_overrides_activated,
-        )
+        from repro.context import activated
+        from repro.core.trainer import GroupFELTrainer, TrainerConfig
         from repro.grouping import CoVGrouping, group_clients_per_edge
         from repro.nn import make_mlp
 
@@ -116,7 +110,7 @@ class TestEngineFlags:
             CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
         )
         cfg = TrainerConfig(max_rounds=1)
-        with engine_overrides_activated(engine="reference", pipeline_rounds=True):
+        with activated(RunContext(engine="reference", pipeline_rounds=True)):
             trainer = GroupFELTrainer(
                 functools.partial(make_mlp, 192, 10, seed=0),
                 small_fed, groups, cfg,
@@ -131,18 +125,19 @@ class TestEngineFlags:
             trainer.close()
 
     def test_partial_override_keeps_other_knobs(self):
-        from repro.core.trainer import engine_overrides_activated
+        from repro.core.trainer import TrainerConfig, resolve_config
 
-        with engine_overrides_activated(engine="batched") as overrides:
-            assert overrides == {"engine": "batched"}
+        cfg = TrainerConfig(pipeline_rounds=True, sampling_scheme="stratified")
+        resolved = resolve_config(cfg, RunContext(engine="batched"))
+        assert resolved.engine == "batched"
+        assert resolved.pipeline_rounds is True
+        assert resolved.sampling_scheme == "stratified"
 
     def test_cli_flags_deactivated_after_run(self, capsys):
-        import repro.core.trainer as trainer_mod
-
         assert main(["fig5", "--scale", "fast", "--engine", "reference",
                      "--pipeline-rounds"]) == 0
         capsys.readouterr()
-        assert trainer_mod._active_engine_overrides is None
+        assert current() == RunContext()
 
     def test_bad_engine_rejected(self, capsys):
         with pytest.raises(SystemExit):
@@ -162,23 +157,25 @@ class TestCheckpointFlags:
         assert "--checkpoint-every" in capsys.readouterr().err
 
     def test_policy_deactivated_after_run(self, capsys, tmp_path):
-        from repro.checkpoint import get_active_policy
-
         assert main(["fig5", "--scale", "fast", "--checkpoint-dir", str(tmp_path)]) == 0
         capsys.readouterr()
-        assert get_active_policy() is None
+        assert current().checkpoint is None
 
     @pytest.mark.slow
     def test_cli_resume_bit_identical(self, capsys, tmp_path):
         """fig7 run in two legs via --resume must emit the same JSON as one
-        uninterrupted run."""
+        uninterrupted run — and only under the fault plan it was written
+        with."""
         ckdir = str(tmp_path / "ck")
-        assert main(["fig7", "--scale", "fast", "--json",
-                     "--checkpoint-dir", ckdir]) == 0
+        run = ["fig7", "--scale", "fast", "--json", "--checkpoint-dir", ckdir]
+        assert main([*run, "--faults", "dropout:0.2"]) == 0
         full = json.loads(capsys.readouterr().out)
         # Second invocation resumes every method at its final round: no new
         # training happens, and the regenerated figure is identical.
-        assert main(["fig7", "--scale", "fast", "--json",
-                     "--checkpoint-dir", ckdir, "--resume"]) == 0
+        assert main([*run, "--faults", "dropout:0.2", "--resume"]) == 0
         resumed = json.loads(capsys.readouterr().out)
         assert resumed == full
+        # The plan is part of the checkpoint's fingerprint: dropping it on
+        # resume is refused instead of silently replaying a faultless run.
+        assert main([*run, "--resume"]) == 1
+        assert "faults" in capsys.readouterr().err

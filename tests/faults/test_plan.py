@@ -6,6 +6,7 @@ import pickle
 
 import pytest
 
+from repro.context import RunContext, activated, current
 from repro.faults import (
     ClientDropout,
     FaultPlan,
@@ -13,9 +14,6 @@ from repro.faults import (
     MessageLoss,
     RetryPolicy,
     Straggler,
-    get_active_plan,
-    plan_activated,
-    set_active_plan,
 )
 
 
@@ -180,27 +178,19 @@ class TestGroupFailure:
 
 class TestAmbientActivation:
     def test_context_manager_restores(self):
-        assert get_active_plan() is None
+        assert current().faults is None
         plan = FaultPlan.from_spec("dropout:0.2")
-        with plan_activated(plan) as active:
-            assert active is plan
-            assert get_active_plan() is plan
-        assert get_active_plan() is None
-
-    def test_set_returns_previous(self):
-        plan = FaultPlan.from_spec("dropout:0.2")
-        assert set_active_plan(plan) is None
-        try:
-            assert set_active_plan(None) is plan
-        finally:
-            set_active_plan(None)
+        with activated(RunContext(faults=plan)) as active:
+            assert active.faults is plan
+            assert current().faults is plan
+        assert current().faults is None
 
     def test_nesting(self):
         outer, inner = FaultPlan.from_spec("dropout:0.1"), FaultPlan.from_spec("loss:0.1")
-        with plan_activated(outer):
-            with plan_activated(inner):
-                assert get_active_plan() is inner
-            assert get_active_plan() is outer
+        with activated(RunContext(faults=outer)):
+            with activated(RunContext(faults=inner)):
+                assert current().faults is inner
+            assert current().faults is outer
 
 
 def test_plan_pickles():

@@ -13,13 +13,14 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.context import RunContext, activated
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.costs import paper_cost_model
 from repro.experiments.cli import main as cli_main
-from repro.faults import FaultPlan, plan_activated
+from repro.faults import FaultPlan
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
-from repro.telemetry import Telemetry, activated
+from repro.telemetry import Telemetry
 
 FAULTY = "dropout:0.35@after,straggler:0.5:0.5,loss:0.2,groupfail:0.1"
 
@@ -138,18 +139,20 @@ class TestConfigPlumbing:
 
     def test_ambient_plan_pickup(self, small_fed, small_edges):
         plan = FaultPlan.from_spec("dropout:0.2")
-        with plan_activated(plan):
+        with activated(RunContext(faults=plan)):
             trainer = _make_trainer(small_fed, small_edges)
         assert trainer.fault_plan is plan
+        # The resolved config carries it, so checkpoints fingerprint it.
+        assert trainer.config.faults is plan
 
     def test_explicit_plan_beats_ambient(self, small_fed, small_edges):
         explicit = FaultPlan.from_spec("straggler:0.1")
-        with plan_activated(FaultPlan.from_spec("dropout:0.9")):
+        with activated(RunContext(faults=FaultPlan.from_spec("dropout:0.9"))):
             trainer = _make_trainer(small_fed, small_edges, faults=explicit)
         assert trainer.fault_plan is explicit
 
     def test_empty_ambient_means_no_plan(self, small_fed, small_edges):
-        with plan_activated(FaultPlan(seed=0)):
+        with activated(RunContext(faults=FaultPlan(seed=0))):
             trainer = _make_trainer(small_fed, small_edges)
         assert trainer.fault_plan is None
 
@@ -193,7 +196,7 @@ class TestRunnerIntegration:
         from repro.experiments import run_method
 
         tel = Telemetry(label="runner")
-        with activated(tel):
+        with activated(RunContext(telemetry=tel)):
             history = run_method(
                 "group_fel", tiny_workload, faults="straggler:1.0:1.0"
             )
@@ -205,7 +208,7 @@ class TestRunnerIntegration:
 
         tel = Telemetry(label="ambient")
         plan = FaultPlan.from_spec("straggler:1.0:1.0", seed=5)
-        with activated(tel), plan_activated(plan):
+        with activated(RunContext(telemetry=tel, faults=plan)):
             run_method("group_fel", tiny_workload)
         assert tel.metrics.snapshot()["counters"]["faults.straggler"] >= 1
 

@@ -7,6 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
+from repro.context import RunContext, activated, current
 from repro.population import (
     Arrivals,
     Departures,
@@ -16,8 +17,6 @@ from repro.population import (
     PopulationEvent,
     PopulationModel,
     PopulationTrace,
-    get_active_population,
-    population_activated,
 )
 
 
@@ -210,9 +209,9 @@ class TestTrace:
 
 class TestAmbientActivation:
     def test_population_activated_scopes_the_model(self):
-        assert get_active_population() is None
+        assert current().population is None
         model = PopulationModel.from_spec("leave:0.1")
-        with population_activated(model) as active:
-            assert active is model
-            assert get_active_population() is model
-        assert get_active_population() is None
+        with activated(RunContext(population=model)) as active:
+            assert active.population is model
+            assert current().population is model
+        assert current().population is None

@@ -16,12 +16,13 @@ import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointError
+from repro.context import RunContext, activated
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.costs import paper_cost_model
 from repro.data import FederatedDataset, SyntheticImage
 from repro.grouping import CoVGrouping, RandomGrouping, group_clients_per_edge
 from repro.nn import make_mlp
-from repro.population import PopulationModel, population_activated
+from repro.population import PopulationModel
 
 SPEC = "start:0.8,join:0.6,leave:0.05,drift:0.25:0.3@corr"
 
@@ -192,14 +193,17 @@ class TestTrainerBehaviour:
         grouper = CoVGrouping(min_group_size=3, max_cov=0.6)
         groups = group_clients_per_edge(grouper, fed.L, _edges(), rng=5)
         cfg = TrainerConfig(max_rounds=2, seed=3)
-        with population_activated(PopulationModel.from_spec("leave:0.1")):
+        with activated(RunContext(population=PopulationModel.from_spec("leave:0.1"))):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 trainer = GroupFELTrainer(model_fn, fed, groups, cfg,
                                           cost_model=paper_cost_model())
         try:
             assert trainer.population_engine is None
-            assert any("ambient population" in str(w.message) for w in caught)
+            assert trainer.config.population is None
+            assert any(
+                "run-context population" in str(w.message) for w in caught
+            )
         finally:
             trainer.close()
 

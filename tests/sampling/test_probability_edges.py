@@ -64,7 +64,7 @@ class TestEsrcovUnderflow:
             Group(1, 0, np.array([1]), np.array([40, 40])),
         ]
         p = sampling_probabilities(covs, "esrcov")
-        w = aggregation_weights(groups, p, 1000, "unbiased")
+        w = aggregation_weights(groups, p, 1000, "unbiased", inclusion=2 * p)
         assert np.isfinite(w).all()
 
     def test_sampler_with_extreme_cov_spread(self):

@@ -147,8 +147,8 @@ class TestAggregationWeights:
 
     def test_unbiased_weights(self):
         p = np.array([0.4, 0.1])
-        w = aggregation_weights(self.groups, p, 1000, "unbiased")
-        # n_g / (p_g * S * n), S=2.
+        w = aggregation_weights(self.groups, p, 1000, "unbiased", inclusion=2 * p)
+        # Eq. (4): n_g / (p_g * S * n), S=2.
         assert w[0] == pytest.approx(120 / (0.4 * 2 * 1000))
         assert w[1] == pytest.approx(80 / (0.1 * 2 * 1000))
 
@@ -166,20 +166,22 @@ class TestAggregationWeights:
 
     def test_stabilized_sums_to_one(self):
         p = np.array([0.7, 0.01])
-        w = aggregation_weights(self.groups, p, 1000, "stabilized")
+        w = aggregation_weights(self.groups, p, 1000, "stabilized", inclusion=2 * p)
         assert w.sum() == pytest.approx(1.0)
 
     def test_stabilized_bounds_extreme_factor(self):
         """Eq. 35: even a tiny p_g cannot blow the aggregation up."""
         p = np.array([0.999, 1e-6])
-        w = aggregation_weights(self.groups, p, 1000, "stabilized")
+        w = aggregation_weights(self.groups, p, 1000, "stabilized", inclusion=2 * p)
         assert w.max() <= 1.0
 
     def test_plain_list_p_selected_accepted(self):
         """Array-likes work: a plain list used to die on ``.shape``."""
         w = aggregation_weights(self.groups, [0.5, 0.5], 1000, "biased")
         assert np.allclose(w, [0.6, 0.4])
-        w = aggregation_weights(self.groups, (0.4, 0.1), 1000, "unbiased")
+        w = aggregation_weights(
+            self.groups, (0.4, 0.1), 1000, "unbiased", inclusion=[0.8, 0.2]
+        )
         assert w[0] == pytest.approx(120 / (0.4 * 2 * 1000))
 
     def test_zero_total_samples_raises(self):
@@ -193,12 +195,18 @@ class TestAggregationWeights:
         w = aggregation_weights(self.groups, np.array([0.5, 0.5]), 0, "biased")
         assert w.sum() == pytest.approx(1.0)
 
-    def test_explicit_inclusion_overrides_legacy_alpha(self):
-        """Passing π directly uses n_g/(n·π_g), not n_g/(n·S·p_g)."""
+    def test_unbiased_modes_require_inclusion(self):
+        """No silent S·p_g fallback: without α the unbiased and stabilized
+        modes refuse, naming the mode and where α comes from; with π the
+        weight is n_g/(n·π_g)."""
+        p = np.array([0.4, 0.1])
+        for mode in ("unbiased", "stabilized"):
+            with pytest.raises(
+                ValueError, match=rf"{mode}.*scheme\.expected_multiplicity"
+            ):
+                aggregation_weights(self.groups, p, 1000, mode)
         pi = np.array([0.9, 0.25])
-        w = aggregation_weights(
-            self.groups, np.array([0.4, 0.1]), 1000, "unbiased", inclusion=pi
-        )
+        w = aggregation_weights(self.groups, p, 1000, "unbiased", inclusion=pi)
         assert w[0] == pytest.approx(120 / (0.9 * 1000))
         assert w[1] == pytest.approx(80 / (0.25 * 1000))
 

@@ -115,7 +115,7 @@ def test_old_s_times_p_weights_are_biased_under_wor():
     the sequential WOR draw are *not* unbiased. Both the exact expectation
     (computable from the enumerated π) and the empirical mean must sit far
     from the target — if this ever starts passing the CLT check, the draw
-    or the legacy weight path changed semantics silently."""
+    or the Eq. (4) weighting changed semantics silently."""
     groups = _make_groups()
     size = 3
     rounds = 6000  # draws only, no training — cheap to push SE down 8× the bias
@@ -136,14 +136,14 @@ def test_old_s_times_p_weights_are_biased_under_wor():
     wrong_mean = float(np.sum(pi * n_g / (n * size * p) * x))
     assert abs(wrong_mean - target) > 1e-3  # structurally biased, not noise
 
-    # Empirically: draw with the real scheme but weight via the legacy
-    # inclusion=None path (alpha = p·S), i.e. the pre-fix behavior.
+    # Empirically: draw with the real scheme but weight with Eq. (4)'s
+    # divisor alpha = S·p_g, i.e. the pre-fix behavior.
     estimates = np.empty(rounds)
     for t in range(rounds):
         raw = sampler.scheme.draw(sampler.rng)
         selected = [groups[i] for i in raw]
         weights = aggregation_weights(
-            selected, p[raw], n, AggregationMode.UNBIASED,
+            selected, p[raw], n, AggregationMode.UNBIASED, inclusion=size * p[raw],
         )
         estimates[t] = float(sum(
             w * x[g.group_id] for g, w in zip(selected, weights)

@@ -1,15 +1,13 @@
-"""Tests for the Telemetry facade and the ambient-activation mechanism."""
+"""Tests for the Telemetry facade and its run-context resolution."""
 
 import pytest
 
+from repro.context import RunContext, activated, current
 from repro.telemetry import (
     NULL_TELEMETRY,
     NullTelemetry,
     Telemetry,
-    activated,
-    get_active,
     resolve,
-    set_active,
 )
 
 
@@ -46,42 +44,41 @@ class TestFacade:
 
 class TestAmbient:
     def test_default_is_null(self):
-        assert get_active() is NULL_TELEMETRY
-        assert isinstance(get_active(), NullTelemetry)
+        assert current().telemetry is None
+        assert resolve(None) is NULL_TELEMETRY
+        assert isinstance(resolve(None), NullTelemetry)
 
     def test_activated_installs_and_restores(self):
         tel = Telemetry()
-        with activated(tel) as inside:
-            assert inside is tel
-            assert get_active() is tel
-        assert get_active() is NULL_TELEMETRY
+        with activated(RunContext(telemetry=tel)) as inside:
+            assert inside.telemetry is tel
+            assert resolve(None) is tel
+        assert resolve(None) is NULL_TELEMETRY
 
     def test_activated_restores_on_exception(self):
         tel = Telemetry()
         with pytest.raises(RuntimeError):
-            with activated(tel):
+            with activated(RunContext(telemetry=tel)):
                 raise RuntimeError("x")
-        assert get_active() is NULL_TELEMETRY
+        assert resolve(None) is NULL_TELEMETRY
 
     def test_nested_activation(self):
         outer, inner = Telemetry("outer"), Telemetry("inner")
-        with activated(outer):
-            with activated(inner):
-                assert get_active() is inner
-            assert get_active() is outer
+        with activated(RunContext(telemetry=outer)):
+            with activated(RunContext(telemetry=inner)):
+                assert resolve(None) is inner
+            assert resolve(None) is outer
 
-    def test_set_active_none_means_disabled(self):
-        previous = set_active(None)
-        try:
-            assert get_active() is NULL_TELEMETRY
-        finally:
-            set_active(previous)
+    def test_context_without_telemetry_means_disabled(self):
+        with activated(RunContext(telemetry=Telemetry())):
+            with activated(RunContext()):
+                assert resolve(None) is NULL_TELEMETRY
 
     def test_resolve(self):
         tel = Telemetry()
         assert resolve(tel) is tel
         assert resolve(None) is NULL_TELEMETRY
-        with activated(tel):
+        with activated(RunContext(telemetry=tel)):
             assert resolve(None) is tel
             other = Telemetry()
             assert resolve(other) is other

@@ -6,7 +6,8 @@ import pytest
 from repro.core import GroupFELTrainer, TelemetryCallback, TrainerConfig
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
-from repro.telemetry import Telemetry, activated, load_jsonl
+from repro.context import RunContext, activated
+from repro.telemetry import Telemetry, load_jsonl
 
 
 def make_trainer(small_fed, small_edges, telemetry=None, max_rounds=2, **cfg_kwargs):
@@ -159,7 +160,7 @@ class TestZeroImpact:
 class TestAmbientPickup:
     def test_trainer_resolves_ambient(self, small_fed, small_edges):
         tel = Telemetry()
-        with activated(tel):
+        with activated(RunContext(telemetry=tel)):
             trainer = make_trainer(small_fed, small_edges, max_rounds=1)
         assert trainer.telemetry is tel
         trainer.run()

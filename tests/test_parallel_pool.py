@@ -20,16 +20,12 @@ from concurrent.futures.process import BrokenProcessPool
 import numpy as np
 import pytest
 
+from repro.context import RunContext, activated
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.data.client_data import ClientDataset
 from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp
-from repro.parallel import (
-    ParallelMap,
-    activated as parallel_activated,
-    worker_init_count,
-    worker_state,
-)
+from repro.parallel import ParallelMap, worker_init_count, worker_state
 from repro.telemetry import Telemetry
 
 # Module-level so the process backend can pickle them.
@@ -334,7 +330,7 @@ class TestTrainerPoolIntegration:
         self, small_fed, small_edges
     ):
         with ParallelMap("thread", max_workers=2) as pm:
-            with parallel_activated(pm):
+            with activated(RunContext(parallel=pm)):
                 trainer = _make_trainer(small_fed, small_edges, "thread")
                 assert trainer.executor.pmap is pm
                 assert not trainer.executor.owns_pool
