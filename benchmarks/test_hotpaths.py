@@ -1,7 +1,8 @@
 """Hot-path speedups: incremental CoV-Grouping and vectorized SecAgg.
 
-Times the two rewritten kernels against their golden references —
-``CoVGrouping(engine="reference")`` and
+Times the two rewritten kernels against their golden references — the
+verbatim Algorithm 2 transcription in
+``tests/oracles/cov_grouping_reference.py`` and
 ``SecureAggregator.aggregate_reference`` — at the sizes the paper's §7
 experiments actually hit (grouping over an edge's client pool, SecAgg over
 one group), asserts the outputs are bit-identical, and writes
@@ -27,6 +28,7 @@ import numpy as np
 from _util import run_once
 from repro.grouping import CoVGrouping
 from repro.secure import SecureAggregator, clear_seed_table_cache
+from tests.oracles.cov_grouping_reference import ReferenceCoVGrouping
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 REPEATS = 2 if SMOKE else 3
@@ -68,8 +70,8 @@ def _bench_grouping():
     for n in GROUPING_SIZES:
         L = _label_matrix(n, GROUPING_CLASSES, seed=n)
         ids = np.arange(n)
-        ref = CoVGrouping(5, 0.5, engine="reference")
-        inc = CoVGrouping(5, 0.5, engine="incremental")
+        ref = ReferenceCoVGrouping(5, 0.5)
+        inc = CoVGrouping(5, 0.5)
         ref_s, ref_groups = _best_of(lambda: ref.group(L, ids, rng=0))
         inc_s, inc_groups = _best_of(lambda: inc.group(L, ids, rng=0))
         assert _partitions(inc_groups) == _partitions(ref_groups), (

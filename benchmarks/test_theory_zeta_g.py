@@ -11,7 +11,7 @@ import numpy as np
 from _util import SCALE, run_once
 from repro.experiments.configs import get_scale, make_image_workload
 from repro.grouping import CoVGrouping, RandomGrouping, group_clients_per_edge
-from repro.sampling import sampling_probabilities
+from repro.sampling import sampling_probabilities_from_counts
 from repro.theory import (
     BoundInputs,
     convergence_bound,
@@ -35,7 +35,8 @@ def measure():
     ]:
         groups = group_clients_per_edge(grouper, wl.fed.L, wl.edge_assignment, rng=0)
         zg2, _ = estimate_group_heterogeneity(model, params, wl.fed.clients, groups)
-        p = sampling_probabilities(groups, "esrcov", min_prob=1e-3)
+        counts = np.stack([g.label_counts for g in groups])
+        p = sampling_probabilities_from_counts(counts, "esrcov", min_prob=1e-3)
         inp = BoundInputs(
             f0_gap=2.3, eta=0.01, T=100, K=s.group_rounds, E=s.local_rounds,
             L=1.0, sigma2=1.0, zeta2=1.0, zeta_g2=zg2,

@@ -15,7 +15,7 @@ import numpy as np
 from repro.data import FederatedDataset, SyntheticImage
 from repro.grouping import CoVGrouping, RandomGrouping, group_clients_per_edge
 from repro.nn import make_mlp
-from repro.sampling import sampling_probabilities
+from repro.sampling import sampling_probabilities_from_counts
 from repro.theory import (
     BoundInputs,
     convergence_bound,
@@ -59,7 +59,8 @@ def main() -> None:
         zg2, _ = estimate_group_heterogeneity(model, params, fed.clients, groups)
         gam = max(gamma_of_group(g, sizes) for g in groups)
         Gam = gamma_big(groups)
-        p = sampling_probabilities(groups, "esrcov", min_prob=1e-3)
+        counts = np.stack([g.label_counts for g in groups])
+        p = sampling_probabilities_from_counts(counts, "esrcov", min_prob=1e-3)
         Gp = gamma_p(p)
         inp = BoundInputs(
             **base, zeta_g2=zg2, gamma=gam, Gamma=Gam, Gamma_p=Gp,

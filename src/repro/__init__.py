@@ -86,7 +86,6 @@ from repro.grouping import (
     KLDGrouping,
     RandomGrouping,
     cov_of_counts,
-    exhaustive_optimal_grouping,
     group_clients_per_edge,
 )
 from repro.metrics import (
@@ -160,7 +159,6 @@ __all__ = [
     "CDGGrouping",
     "KLDGrouping",
     "CoVGammaGrouping",
-    "exhaustive_optimal_grouping",
     "cov_of_counts",
     "group_clients_per_edge",
     # sampling

@@ -42,7 +42,7 @@ def config_fingerprint(config: "TrainerConfig", grouper=None) -> dict:
     Used to reject resuming a checkpoint into a trainer whose
     hyperparameters diverged — a silent way to lose bit-identical replay.
     ``grouper`` folds the trainer's grouping engine into the fingerprint
-    (its repr carries MinGS/MaxCoV/engine/cov_metric), so a resume under a
+    (its repr carries MinGS/MaxCoV/cov_metric), so a resume under a
     different grouping — or, via the config's ``population`` field, a
     different population schedule — is rejected loudly instead of
     silently diverging. Execution-only fields are skipped.

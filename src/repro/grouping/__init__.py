@@ -18,11 +18,7 @@ from repro.grouping.random_grouping import RandomGrouping
 from repro.grouping.cdg import CDGGrouping
 from repro.grouping.fedgroup import FedGroupGrouping
 from repro.grouping.kldg import KLDGrouping
-from repro.grouping.extensions import (
-    CoVGammaGrouping,
-    exhaustive_optimal_grouping,
-    sum_cov_objective,
-)
+from repro.grouping.extensions import CoVGammaGrouping
 from repro.grouping.metrics import GroupingReport, evaluate_grouping, make_grouper
 
 __all__ = [
@@ -40,8 +36,6 @@ __all__ = [
     "FedGroupGrouping",
     "KLDGrouping",
     "CoVGammaGrouping",
-    "exhaustive_optimal_grouping",
-    "sum_cov_objective",
     "GroupingReport",
     "evaluate_grouping",
     "make_grouper",

@@ -12,16 +12,28 @@ from repro.rng import make_rng, spawn_many
 __all__ = ["Group", "Grouper", "group_clients_per_edge"]
 
 
-@dataclass
+def non_count_mask(counts: np.ndarray) -> np.ndarray:
+    """True where an entry is not a non-negative integer (NaN and ±inf
+    included); integral floats count as integers."""
+    if np.issubdtype(counts.dtype, np.integer):
+        return counts < 0
+    return ~np.isfinite(counts) | (counts < 0) | (counts != np.floor(counts))
+
+
+@dataclass(eq=False)
 class Group:
     """A client group formed at one edge server.
+
+    Groups compare (and hash) by identity: their fields are arrays, so a
+    field-wise ``==`` has no single truth value.
 
     Attributes
     ----------
     group_id : global index of this group (assigned when pooled).
     edge_id : which edge server formed the group.
     members : client ids (global indexing) in this group.
-    label_counts : summed per-class counts of the members (length m).
+    label_counts : summed per-class counts of the members (length m) —
+        non-negative integers; anything else raises ``ValueError``.
     """
 
     group_id: int
@@ -31,7 +43,15 @@ class Group:
 
     def __post_init__(self) -> None:
         self.members = np.asarray(self.members, dtype=np.int64)
-        self.label_counts = np.asarray(self.label_counts, dtype=np.int64)
+        counts = np.asarray(self.label_counts)
+        bad = np.flatnonzero(non_count_mask(counts))
+        if bad.size:
+            j = int(bad[0])
+            raise ValueError(
+                f"group {self.group_id}: label counts must be non-negative "
+                f"integers, class {j} has {counts.flat[j]}"
+            )
+        self.label_counts = counts.astype(np.int64, copy=False)
 
     @property
     def size(self) -> int:

@@ -1,23 +1,25 @@
-"""Online CoV-group maintenance over incremental S1/S2 moments.
+"""Online CoV-group maintenance under churn and drift.
 
-PR 5's incremental grouping engine made *forming* groups cheap by scoring
-candidates from the running moments S1 = Σ_j c_j and S2 = Σ_j c_j² of the
-group's label counts. This module keeps those moments alive *after*
-formation so a dynamic population never needs a from-scratch re-partition
-for a single membership change:
+Formation (:class:`repro.grouping.CoVGrouping`) partitions each edge once;
+this module keeps that partition valid afterwards, so a dynamic population
+never needs a from-scratch re-partition for a single membership change.
+A maintained group is a plain :class:`~repro.grouping.Group` — members in
+insertion order (it fixes training order, so it is part of replay) and the
+integer label counts — plus a dirty mark for the watchdog:
 
 * :meth:`OnlineGroupMaintainer.insert_client` — O(G·m) greedy placement
   into the CoV-minimizing group of the client's edge;
 * :meth:`OnlineGroupMaintainer.remove_client` /
-  :meth:`~OnlineGroupMaintainer.update_client` — O(m) moment updates;
+  :meth:`~OnlineGroupMaintainer.update_client` — O(m) count updates;
 * :meth:`OnlineGroupMaintainer.migrate_client` — remove + best re-insert.
 
-Label counts are integers, so every moment update is *exact* (int64 dot
-products folded into Python ints), and insert placement compares candidate
-scores as exact rational numbers — CoV² = m·S2/S1² − 1 and
-eq27² = S2/S1 − S1/m are both monotone in an integer fraction — so
-placement never depends on float rounding and replays bit-identically on
-any backend.
+Placement is exact. A candidate group's S1 = Σ_j c_j and S2 = Σ_j c_j² are
+integers (int64 sums, exact while a group holds under ~3·10⁹ samples),
+and CoV² = m·S2/S1² − 1 and eq27² = S2/S1 − S1/m are both monotone in an
+integer fraction, so candidates are compared by cross-multiplying Python
+ints — no float rounding, and no bound on the products — and replay is
+bit-identical on any backend. Exact ties go to the first group in
+position order.
 
 A MaxCoV-degradation watchdog (:meth:`~OnlineGroupMaintainer.maintain`)
 runs after each round's population events: groups whose membership or
@@ -34,7 +36,6 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from fractions import Fraction
 
 import numpy as np
 
@@ -45,29 +46,6 @@ from repro.rng import make_rng, spawn, spawn_many
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
 __all__ = ["OnlineGroupMaintainer"]
-
-
-class _GroupState:
-    """One maintained group: members + label counts + exact moments.
-
-    ``s1``/``s2`` are Python ints (arbitrary precision), updated in O(m)
-    per membership/count change; ``dirty`` marks the group for the next
-    watchdog pass.
-    """
-
-    __slots__ = ("edge_id", "members", "counts", "s1", "s2", "dirty")
-
-    def __init__(self, edge_id: int, num_classes: int):
-        self.edge_id = int(edge_id)
-        self.members: list[int] = []
-        self.counts = np.zeros(num_classes, dtype=np.int64)
-        self.s1 = 0
-        self.s2 = 0
-        self.dirty = False
-
-    @property
-    def size(self) -> int:
-        return len(self.members)
 
 
 class OnlineGroupMaintainer:
@@ -114,7 +92,7 @@ class OnlineGroupMaintainer:
         if not np.issubdtype(label_matrix.dtype, np.integer):
             raise ValueError(
                 "online maintenance needs an integer label matrix (exact "
-                f"moments), got dtype {label_matrix.dtype}"
+                f"placement), got dtype {label_matrix.dtype}"
             )
         if degrade_factor < 1.0:
             raise ValueError(
@@ -133,43 +111,27 @@ class OnlineGroupMaintainer:
         )
         self.max_cov = float(getattr(grouper, "max_cov", math.inf))
         self.cov_metric = getattr(grouper, "cov_metric", "cov")
-        self._states: list[_GroupState] = []
-        self.group_of: dict[int, _GroupState] = {}
+        self._groups: list[Group] = []
+        #: groups changed since the last watchdog pass
+        self._dirty: set[Group] = set()
+        self.group_of: dict[int, Group] = {}
         if groups:
             self.reset_from_groups(groups)
 
     # ------------------------------------------------------------- inspection
     @property
     def num_groups(self) -> int:
-        return len(self._states)
+        return len(self._groups)
 
     def active_ids(self) -> list[int]:
         """The maintained client ids, ascending."""
         return sorted(self.group_of)
 
-    def moments(self) -> list[tuple[int, int]]:
-        """(S1, S2) per group — exposed for exactness tests."""
-        return [(s.s1, s.s2) for s in self._states]
-
-    def group_index(self, client_id: int) -> int:
-        """Current group position of a maintained client."""
-        return self._states.index(self.group_of[client_id])
-
-    def cov_of(self, state_index: int) -> float:
-        """The configured metric of one group's current counts."""
-        metric = cov_paper_eq27 if self.cov_metric == "eq27" else cov_of_counts
-        return float(metric(self._states[state_index].counts))
-
     def groups(self) -> list[Group]:
         """Materialize the maintained partition as renumbered Groups."""
         return [
-            Group(
-                group_id=gid,
-                edge_id=s.edge_id,
-                members=np.array(s.members, dtype=np.int64),
-                label_counts=s.counts.copy(),
-            )
-            for gid, s in enumerate(self._states)
+            Group(gid, g.edge_id, g.members.copy(), g.label_counts.copy())
+            for gid, g in enumerate(self._groups)
         ]
 
     def reset_from_groups(self, groups: list[Group] | tuple, strict: bool = True) -> None:
@@ -180,81 +142,73 @@ class OnlineGroupMaintainer:
         resuming drifted populations over an already-mutated dataset
         (drift replay would double-apply).
         """
-        states: list[_GroupState] = []
-        owner: dict[int, _GroupState] = {}
+        adopted: list[Group] = []
+        owner: dict[int, Group] = {}
         for g in groups:
-            s = _GroupState(g.edge_id, self.L.shape[1])
-            s.members = [int(c) for c in g.members]
-            s.counts = self.L[np.asarray(g.members, dtype=np.int64)].sum(
-                axis=0, dtype=np.int64
-            )
-            if strict and not np.array_equal(s.counts, g.label_counts):
+            members = np.array(g.members, dtype=np.int64)
+            own = Group(-1, int(g.edge_id), members, self.L[members].sum(axis=0, dtype=np.int64))
+            if strict and not np.array_equal(own.label_counts, g.label_counts):
                 raise ValueError(
                     f"group {g.group_id} label_counts disagree with the live "
                     "label matrix — the dataset was mutated outside this "
                     "maintainer (e.g. resuming a drifted population over "
                     "non-pristine client data)"
                 )
-            s.s1 = int(s.counts.sum())
-            s.s2 = int(s.counts @ s.counts)
-            for cid in s.members:
+            for cid in members.tolist():
                 if cid in owner:
                     raise ValueError(f"client {cid} appears in two groups")
-                owner[cid] = s
-            states.append(s)
-        self._states = states
+                owner[cid] = own
+            adopted.append(own)
+        self._groups = adopted
+        self._dirty = set()
         self.group_of = owner
 
     # ------------------------------------------------------------ primitives
-    def _score(self, s1: int, s2: int) -> tuple[int, Fraction]:
-        """Exact rational ordering key of a (S1, S2) candidate.
+    def _new_group(self, edge_id: int) -> Group:
+        empty = Group(-1, edge_id, np.empty(0, np.int64), np.zeros(self.L.shape[1], np.int64))
+        self._groups.append(empty)
+        return empty
 
-        cov:  CoV² = m·S2/S1² − 1  → order by S2/S1².
-        eq27: eq27² = S2/S1 − S1/m → order by (m·S2 − S1²)/(m·S1).
-        Empty groups (S1 = 0) sort last (CoV = ∞).
-        """
-        if s1 <= 0:
-            return (1, Fraction(0))
-        m = self.L.shape[1]
-        if self.cov_metric == "eq27":
-            return (0, Fraction(m * s2 - s1 * s1, m * s1))
-        return (0, Fraction(s2, s1 * s1))
+    def _attach(self, g: Group, cid: int, row: np.ndarray) -> None:
+        g.label_counts += row
+        g.members = np.append(g.members, cid)
+        self._dirty.add(g)
+        self.group_of[cid] = g
 
-    def _insert_score(self, s: _GroupState, row: np.ndarray, rsum: int, rq: int):
-        s1c = s.s1 + rsum
-        s2c = s.s2 + 2 * int(s.counts @ row) + rq
-        return self._score(s1c, s2c)
-
-    def _attach(self, s: _GroupState, cid: int, row: np.ndarray) -> None:
-        s.s1 += int(row.sum())
-        s.s2 += 2 * int(s.counts @ row) + int(row @ row)
-        s.counts += row
-        s.members.append(cid)
-        s.dirty = True
-        self.group_of[cid] = s
-
-    def _detach(self, cid: int) -> _GroupState:
-        s = self.group_of.pop(cid)
-        row = self.L[cid]
-        s.members.remove(cid)
-        s.counts -= row
-        s.s1 -= int(row.sum())
-        s.s2 -= 2 * int(s.counts @ row) + int(row @ row)
-        s.dirty = True
-        return s
+    def _detach(self, cid: int) -> int:
+        """Take ``cid`` out of its group, pruning the group if it empties;
+        returns the group's position before the removal."""
+        g = self.group_of.pop(cid)
+        pos = self._groups.index(g)
+        g.members = g.members[g.members != cid]
+        g.label_counts -= self.L[cid]
+        if g.members.size:
+            self._dirty.add(g)
+        else:
+            del self._groups[pos]
+            self._dirty.discard(g)
+        return pos
 
     def _best_target(
-        self, row: np.ndarray, edge_id: int, exclude: _GroupState | None = None
-    ) -> _GroupState | None:
-        cands = [
-            s for s in self._states if s.edge_id == edge_id and s is not exclude
-        ]
+        self, row: np.ndarray, edge_id: int, exclude: Group | None = None
+    ) -> Group | None:
+        """The edge's group whose CoV with ``row`` added is smallest (first
+        in position order on exact ties), or None if the edge has none."""
+        cands = [g for g in self._groups if g.edge_id == edge_id and g is not exclude]
         if not cands:
             return None
-        rsum = int(row.sum())
-        rq = int(row @ row)
-        # min() keeps the first of exact ties — position order, deterministic.
-        return min(cands, key=lambda s: self._insert_score(s, row, rsum, rq))
+        c = np.stack([g.label_counts for g in cands]) + row
+        m = self.L.shape[1]
+        eq27 = self.cov_metric == "eq27"
+        best, best_num, best_den = cands[0], None, 1
+        for g, s1, s2 in zip(cands, c.sum(axis=1).tolist(), (c * c).sum(axis=1).tolist()):
+            if s1 == 0:
+                continue  # empty counts: CoV = ∞, never strictly better
+            # cov orders by S2/S1²; eq27 by (m·S2 − S1²)/S1 (the ÷m drops out)
+            num, den = (m * s2 - s1 * s1, s1) if eq27 else (s2, s1 * s1)
+            if best_num is None or num * best_den < best_num * den:
+                best, best_num, best_den = g, num, den
+        return best
 
     # ------------------------------------------------------------ operations
     def insert_client(self, client_id: int) -> int:
@@ -268,45 +222,36 @@ class OnlineGroupMaintainer:
         edge = int(self.edge_of_client[cid])
         target = self._best_target(row, edge)
         if target is None:
-            target = _GroupState(edge, self.L.shape[1])
-            target.dirty = True
-            self._states.append(target)
+            target = self._new_group(edge)
         self._attach(target, cid, row)
         if self.telemetry.enabled:
             self.telemetry.inc("population.inserts")
-        return self._states.index(target)
+        return self._groups.index(target)
 
     def remove_client(self, client_id: int) -> int:
-        """Remove a departing client (O(m) moment update); empty groups
+        """Remove a departing client (O(m) count update); empty groups
         are pruned. Returns the group position it left."""
         cid = int(client_id)
         if cid not in self.group_of:
             raise ValueError(f"client {cid} is not maintained")
-        s = self.group_of[cid]
-        gi = self._states.index(s)
-        self._detach(cid)
-        if not s.members:
-            self._states.remove(s)
+        pos = self._detach(cid)
         if self.telemetry.enabled:
             self.telemetry.inc("population.removals")
-        return gi
+        return pos
 
     def update_client(self, client_id: int, new_counts: np.ndarray) -> None:
         """Apply a label-drift count change: O(m) delta on the owning
-        group's moments, then write the new row back into L."""
+        group's counts, then write the new row back into L."""
         cid = int(client_id)
-        s = self.group_of.get(cid)
+        g = self.group_of.get(cid)
         new = np.asarray(new_counts, dtype=np.int64)
         if new.shape != self.L[cid].shape:
             raise ValueError(
                 f"new_counts shape {new.shape} != {self.L[cid].shape}"
             )
-        if s is not None:
-            d = new - self.L[cid]
-            s.s1 += int(d.sum())
-            s.s2 += 2 * int(s.counts @ d) + int(d @ d)
-            s.counts += d
-            s.dirty = True
+        if g is not None:
+            g.label_counts += new - self.L[cid]
+            self._dirty.add(g)
         np.copyto(self.L[cid], new)
 
     def migrate_client(self, client_id: int) -> tuple[int, int] | None:
@@ -314,28 +259,24 @@ class OnlineGroupMaintainer:
         (from, to) group positions, or None if its edge has no other
         group."""
         cid = int(client_id)
-        s = self.group_of[cid]
         edge = int(self.edge_of_client[cid])
-        target = self._best_target(self.L[cid], edge, exclude=s)
+        target = self._best_target(self.L[cid], edge, exclude=self.group_of[cid])
         if target is None:
             return None
-        src = self._states.index(s)
-        self._detach(cid)
-        if not s.members:
-            self._states.remove(s)
+        src = self._detach(cid)
         self._attach(target, cid, self.L[cid])
         if self.telemetry.enabled:
             self.telemetry.inc("population.migrations")
-        return src, self._states.index(target)
+        return src, self._groups.index(target)
 
     # -------------------------------------------------------------- watchdog
-    def _is_degraded(self, s: _GroupState) -> bool:
-        if s.size < self.min_group_size and len(self._states) > 1:
+    def _is_degraded(self, g: Group) -> bool:
+        if g.size < self.min_group_size and len(self._groups) > 1:
             return True
         if not math.isfinite(self.max_cov):
             return False
         metric = cov_paper_eq27 if self.cov_metric == "eq27" else cov_of_counts
-        return float(metric(s.counts)) > self.max_cov * self.degrade_factor
+        return float(metric(g.label_counts)) > self.max_cov * self.degrade_factor
 
     def maintain(self, rng, round_idx: int, record=None) -> bool:
         """The MaxCoV-degradation watchdog — run once per round after the
@@ -350,15 +291,14 @@ class OnlineGroupMaintainer:
         anything (counts or structure) changed since the last pass, i.e.
         whether samplers must be rebuilt.
         """
-        changed = any(s.dirty for s in self._states)
-        degraded = [s for s in self._states if s.dirty and self._is_degraded(s)]
-        for s in self._states:
-            s.dirty = False
+        changed = bool(self._dirty)
+        degraded = [g for g in self._groups if g in self._dirty and self._is_degraded(g)]
+        self._dirty.clear()
         if not degraded:
             return changed
         tel = self.telemetry
-        if 2 * len(degraded) >= len(self._states):
-            pool = sum(s.size for s in degraded)
+        if 2 * len(degraded) >= len(self._groups):
+            pool = sum(g.size for g in degraded)
             self.full_repartition(rng)
             if record is not None:
                 record(
@@ -376,7 +316,7 @@ class OnlineGroupMaintainer:
         return True
 
     def _scoped_regroup(
-        self, degraded: list[_GroupState], rng, round_idx: int, record
+        self, degraded: list[Group], rng, round_idx: int, record
     ) -> None:
         """Re-partition only the degraded groups' clients, per edge.
 
@@ -388,12 +328,11 @@ class OnlineGroupMaintainer:
         mgs = self.min_group_size
         tel = self.telemetry
         pool_by_edge: dict[int, list[int]] = defaultdict(list)
-        for s in degraded:
-            pool_by_edge[s.edge_id].extend(s.members)
-        for s in degraded:
-            for cid in list(s.members):
+        for g in degraded:
+            pool_by_edge[g.edge_id].extend(g.members.tolist())
+            for cid in g.members.tolist():
                 self.group_of.pop(cid)
-            self._states.remove(s)
+            self._groups.remove(g)
         rng = make_rng(rng)
         for edge in sorted(pool_by_edge):
             ids = sorted(pool_by_edge[edge])
@@ -415,27 +354,30 @@ class OnlineGroupMaintainer:
                     )
                 if tel.enabled:
                     tel.observe("population.regroup_clients", float(len(ids)))
-            elif any(t.edge_id == edge for t in self._states):
+            elif any(t.edge_id == edge for t in self._groups):
                 for cid in ids:
                     row = self.L[cid]
                     target = self._best_target(row, edge)
                     self._attach(target, cid, row)
-                    target.dirty = False  # accepted by this pass
+                    self._dirty.discard(target)  # accepted by this pass
                     if record is not None:
                         record(
                             PopulationEvent(
                                 "migrate", round_idx, client_id=cid,
-                                to_group_id=self._states.index(target),
+                                to_group_id=self._groups.index(target),
                             )
                         )
                     if tel.enabled:
                         tel.inc("population.migrations")
             else:
-                leftover = _GroupState(edge, self.L.shape[1])
-                self._states.append(leftover)
-                for cid in ids:
-                    self._attach(leftover, cid, self.L[cid])
-                leftover.dirty = False
+                self._leftover(edge, ids)
+
+    def _leftover(self, edge_id: int, ids: list[int]) -> None:
+        """Keep ``ids`` together as one clean group (an edge below MinGS)."""
+        leftover = self._new_group(edge_id)
+        for cid in ids:
+            self._attach(leftover, cid, self.L[cid])
+        self._dirty.discard(leftover)
 
     def full_repartition(self, rng, active_ids: list[int] | None = None) -> None:
         """From-scratch per-edge re-partition of the maintained clients.
@@ -454,18 +396,15 @@ class OnlineGroupMaintainer:
         by_edge: dict[int, list[int]] = defaultdict(list)
         for cid in sorted(int(c) for c in active_ids):
             by_edge[int(self.edge_of_client[cid])].append(cid)
-        self._states = []
+        self._groups = []
+        self._dirty = set()
         self.group_of = {}
         for edge in range(self.num_edges):
             ids = by_edge.get(edge, [])
             if not ids:
                 continue
             if len(ids) < self.min_group_size:
-                leftover = _GroupState(edge, self.L.shape[1])
-                self._states.append(leftover)
-                for cid in ids:
-                    self._attach(leftover, cid, self.L[cid])
-                leftover.dirty = False
+                self._leftover(edge, ids)
             else:
                 formed = self.grouper.group(
                     self.L[np.array(ids, dtype=np.int64)],
@@ -476,16 +415,11 @@ class OnlineGroupMaintainer:
                 self._adopt(formed)
 
     def _adopt(self, formed: list[Group]) -> None:
-        """Fold freshly formed Groups into maintained state (clean)."""
+        """Take ownership of freshly formed Groups (clean)."""
         for g in formed:
-            s = _GroupState(g.edge_id, self.L.shape[1])
-            s.members = [int(c) for c in g.members]
-            s.counts = np.asarray(g.label_counts, dtype=np.int64).copy()
-            s.s1 = int(s.counts.sum())
-            s.s2 = int(s.counts @ s.counts)
-            for cid in s.members:
-                self.group_of[cid] = s
-            self._states.append(s)
+            for cid in g.members.tolist():
+                self.group_of[cid] = g
+            self._groups.append(g)
 
     def __repr__(self) -> str:
         return (

@@ -11,15 +11,21 @@ The paper picks ESRCoV as the default ("it has the best performance",
 §6.1). e^{x²} overflows for tiny CoV, so weights are computed in log space
 and shifted by the max before exponentiating (softmax-style), which leaves
 the normalized p unchanged.
+
+Groups are scored in one pass: :func:`sampling_probabilities_from_counts`
+takes the (|G| × m) label-count matrix — ``GroupSampler`` stacks its
+groups' counts into one — computes every CoV with one vectorized
+:func:`~repro.grouping.cov.cov_of_counts` call and hands the CoVs to
+:func:`sampling_probabilities`, which accepts CoV values only.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from numbers import Real
 
 import numpy as np
 
-from repro.grouping.base import Group
 from repro.grouping.cov import cov_of_counts
 
 __all__ = [
@@ -55,48 +61,37 @@ def uniform_probabilities(num_groups: int) -> np.ndarray:
     return np.full(num_groups, 1.0 / num_groups)
 
 
-def _as_cov_array(groups: list[Group] | np.ndarray) -> np.ndarray:
-    """Normalize the ``groups`` argument to a float CoV array.
+def _as_cov_array(covs: Iterable[Real] | np.ndarray) -> np.ndarray:
+    """Normalize the ``covs`` argument to a float CoV array.
 
-    Accepts an ndarray of CoVs, any iterable of :class:`Group` objects, or
-    any iterable of real numbers (precomputed CoVs). The old ``groups[0]``
-    type sniff broke on non-indexable iterables (generators, sets) and
-    silently mis-read mixed input; this is explicit and raises a clear
-    ``TypeError`` for anything else.
+    Accepts an ndarray of CoVs or any iterable of real numbers, and raises
+    a ``TypeError`` naming the first foreign element otherwise. Groups are
+    scored by :func:`sampling_probabilities_from_counts` instead.
     """
-    if isinstance(groups, np.ndarray):
-        if groups.dtype == object or not np.issubdtype(groups.dtype, np.number):
+    if isinstance(covs, np.ndarray):
+        if covs.dtype == object or not np.issubdtype(covs.dtype, np.number):
             raise TypeError(
-                f"cov array must be numeric, got dtype {groups.dtype}"
+                f"cov array must be numeric, got dtype {covs.dtype}"
             )
-        return np.asarray(groups, dtype=np.float64)
+        return np.asarray(covs, dtype=np.float64)
     try:
-        items = list(groups)
+        items = list(covs)
     except TypeError:
         raise TypeError(
-            f"groups must be an iterable of Group objects or CoV floats, "
-            f"got {type(groups).__name__}"
+            f"covs must be an iterable of CoV floats, got {type(covs).__name__}"
         ) from None
-    if all(isinstance(g, Group) for g in items):
-        return np.array([g.cov for g in items], dtype=np.float64)
-    if all(isinstance(g, Real) and not isinstance(g, bool) for g in items):
-        return np.array(items, dtype=np.float64)
-    if any(isinstance(g, Group) for g in items):
-        raise TypeError(
-            "mixed input: pass either all Group objects or all CoV values, "
-            "not a mixture"
-        )
-    offender = next(
-        g for g in items if not isinstance(g, Real) or isinstance(g, bool)
-    )
-    raise TypeError(
-        "groups must be Group objects or real CoV values; got element "
-        f"{offender!r} of type {type(offender).__name__}"
-    )
+    for c in items:
+        if not isinstance(c, Real) or isinstance(c, bool):
+            raise TypeError(
+                "covs must be real CoV values (score groups with "
+                "sampling_probabilities_from_counts); got element "
+                f"{c!r} of type {type(c).__name__}"
+            )
+    return np.array(items, dtype=np.float64)
 
 
 def sampling_probabilities(
-    groups: list[Group] | np.ndarray,
+    covs: Iterable[Real] | np.ndarray,
     method: str = "esrcov",
     min_prob: float = 0.0,
     cov_floor: float = 1e-3,
@@ -105,8 +100,8 @@ def sampling_probabilities(
 
     Parameters
     ----------
-    groups:
-        Group objects or a precomputed array of CoV values.
+    covs:
+        One CoV per group: an array or any iterable of real numbers.
     method:
         ``random``, ``rcov``, ``srcov``, or ``esrcov``.
     min_prob:
@@ -123,7 +118,7 @@ def sampling_probabilities(
     before exponentiating, so extreme CoV disparity can no longer underflow
     a group to p_g = 0 — Γ_p and the Eq. 4 unbiased weights stay finite.
     """
-    covs = _as_cov_array(groups)
+    covs = _as_cov_array(covs)
     n = covs.shape[0]
     if n == 0:
         raise ValueError("cannot compute probabilities over zero groups")
@@ -168,8 +163,7 @@ def sampling_probabilities_from_counts(
     (e.g. from :func:`repro.population.group_label_counts` over a
     :class:`~repro.population.ColumnarPopulation`'s ``L``). One vectorized
     CoV pass feeds :func:`sampling_probabilities`, so 10⁵–10⁶-client
-    populations get their sampling vector without materializing a single
-    :class:`~repro.grouping.base.Group` attribute lookup per group.
+    populations get their sampling vector without a per-group Python loop.
     """
     counts = np.asarray(group_counts, dtype=np.float64)
     if counts.ndim != 2:

@@ -37,7 +37,7 @@ from repro.grouping.base import Group
 from repro.rng import make_rng
 from repro.sampling.adaptive import AdaptiveNormEstimator
 from repro.sampling.probability import (
-    sampling_probabilities,
+    sampling_probabilities_from_counts,
     variance_optimal_probabilities,
 )
 from repro.sampling.schemes import make_scheme, sample_without_replacement
@@ -144,7 +144,8 @@ class GroupSampler:
     """Cloud-side sampler bound to a fixed group list.
 
     Computes p once (``Sampling-Prob`` — Algorithm 1 Line 4) from group
-    CoVs (Eq. 34 methods), group sizes (``varopt``), or size×norm
+    CoVs (Eq. 34 methods, one pass over the groups' stacked label
+    counts), group sizes (``varopt``), or size×norm
     estimates (``adaptive``), binds a :class:`SamplingScheme` to it, and
     then draws S_t each round. Recreate the sampler after any regrouping.
 
@@ -183,16 +184,20 @@ class GroupSampler:
         self.min_prob = float(min_prob)
         self.scheme_name = scheme
         self.adaptive: AdaptiveNormEstimator | None = None
+        counts = np.stack([g.label_counts for g in groups])
+        n_g = counts.sum(axis=1)
         if method in ADAPTIVE_METHODS:
-            self._n_g = np.array([g.n_g for g in groups], dtype=np.float64)
+            self._n_g = n_g.astype(np.float64)
             if method == "adaptive":
                 self.adaptive = AdaptiveNormEstimator(len(groups))
             self.p = variance_optimal_probabilities(self._n_g, min_prob=min_prob)
         else:
-            self.p = sampling_probabilities(groups, method=method, min_prob=min_prob)
+            self.p = sampling_probabilities_from_counts(
+                counts, method=method, min_prob=min_prob
+            )
         self.scheme = make_scheme(scheme, self.p, self.num_sampled)
         self.rng = make_rng(rng)
-        self.total_samples = int(sum(g.n_g for g in groups))
+        self.total_samples = int(n_g.sum())
         #: per-draw sampling-dispersion metrics (Γ_p, inclusion probs)
         self.telemetry = resolve_telemetry(telemetry)
 

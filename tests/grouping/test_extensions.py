@@ -1,18 +1,17 @@
-"""Tests for grouping extensions: γ-aware grouping and the exact solver."""
+"""Tests for grouping extensions: γ-aware grouping, and CoV-Grouping's
+greedy gap against the exact solver in ``tests/oracles/``."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.grouping import (
-    CoVGammaGrouping,
-    CoVGrouping,
+from repro.grouping import CoVGammaGrouping, CoVGrouping, make_grouper
+from repro.theory import gamma_of_group
+from tests.oracles.exhaustive_grouping import (
     exhaustive_optimal_grouping,
-    make_grouper,
     sum_cov_objective,
 )
-from repro.theory import gamma_of_group
 
 
 def label_matrix_with_size_skew(n=24, m=6, seed=0):

@@ -1,17 +1,19 @@
 """Engine-equality and metric-semantics tests for CoVGrouping.
 
-The incremental engine's bit-identity with the reference transcription is
-a constructed property (exact integer moments + windowed reference-float
-tie resolution); these tests pin it across seeds, parameter grids, and
-both ``cov_metric`` settings, and pin the Eq. (27) vs canonical-CoV
-divergence that the old ``repro.grouping.cov`` docstring wrongly denied.
+The running-moment engine's bit-identity with the verbatim transcription
+of Algorithm 2 (``tests/oracles/cov_grouping_reference.py``) is a
+constructed property (exact integer moments + windowed metric-float tie
+resolution); these tests pin it across seeds, parameter grids, and both
+``cov_metric`` settings, and pin the Eq. (27) vs canonical-CoV divergence
+that the old ``repro.grouping.cov`` docstring wrongly denied.
 """
 
 import numpy as np
 import pytest
 
-from repro.grouping import CoVGrouping
+from repro.grouping import CoVGrouping, Group
 from repro.grouping.cov import cov_of_counts, cov_paper_eq27
+from tests.oracles.cov_grouping_reference import ReferenceCoVGrouping
 
 
 def label_matrix(seed, clients=30, classes=5, max_per=40):
@@ -52,8 +54,8 @@ class TestEngineEquality:
         for seed in range(20):
             L = label_matrix(seed)
             ids = np.arange(L.shape[0])
-            ref = CoVGrouping(mgs, mcov, engine="reference", cov_metric=cov_metric)
-            inc = CoVGrouping(mgs, mcov, engine="incremental", cov_metric=cov_metric)
+            ref = ReferenceCoVGrouping(mgs, mcov, cov_metric=cov_metric)
+            inc = CoVGrouping(mgs, mcov, cov_metric=cov_metric)
             got_ref = partitions_of(ref.group(L, ids, rng=seed))
             got_inc = partitions_of(inc.group(L, ids, rng=seed))
             assert got_inc == got_ref, (
@@ -66,19 +68,9 @@ class TestEngineEquality:
         for seed in range(5):
             L = label_matrix(seed, clients=120, classes=20)
             ids = np.arange(120)
-            ref = CoVGrouping(5, 0.5, engine="reference").group(L, ids, rng=seed)
-            inc = CoVGrouping(5, 0.5, engine="incremental").group(L, ids, rng=seed)
+            ref = ReferenceCoVGrouping(5, 0.5).group(L, ids, rng=seed)
+            inc = CoVGrouping(5, 0.5).group(L, ids, rng=seed)
             assert partitions_of(inc) == partitions_of(ref)
-
-    def test_non_integer_counts_fall_back_to_reference(self):
-        """Fractional label matrices break moment exactness; the incremental
-        engine must detect that and delegate, keeping results identical."""
-        rng = np.random.default_rng(7)
-        L = rng.random((25, 4)) * 10.0
-        ids = np.arange(25)
-        ref = CoVGrouping(3, 0.5, engine="reference").group(L, ids, rng=1)
-        inc = CoVGrouping(3, 0.5, engine="incremental").group(L, ids, rng=1)
-        assert partitions_of(inc) == partitions_of(ref)
 
     def test_empty_and_single_client(self):
         inc = CoVGrouping(3, 0.5)
@@ -88,6 +80,52 @@ class TestEngineEquality:
         groups = CoVGrouping(1, 0.5).group(np.array([[2.0, 3.0]]), np.array([9]), rng=0)
         assert len(groups) == 1
         assert groups[0].members.tolist() == [9]
+
+
+class TestCountValidation:
+    """Label counts must be non-negative integers with an exact total:
+    fractional or negative counts used to be grouped by their fractional
+    CoV and then truncated (or stored negative) by ``Group``."""
+
+    def test_non_integer_counts_rejected(self):
+        L = np.random.default_rng(7).random((25, 4)) * 10.0
+        with pytest.raises(ValueError, match=rf"client 100, class 0 has {L[0, 0]}"):
+            CoVGrouping(3, 0.5).group(L, np.arange(100, 125), rng=1)
+
+    def test_negative_counts_rejected(self):
+        L = np.array([[2, 2], [3, -1], [1, 1]])
+        with pytest.raises(ValueError, match=r"client 11, class 1 has -1\.0"):
+            CoVGrouping(1, 0.5).group(L, np.array([10, 11, 12]), rng=0)
+
+    def test_nan_rejected(self):
+        L = np.array([[2.0, np.nan], [1.0, 1.0]])
+        with pytest.raises(ValueError, match="class 1 has nan"):
+            CoVGrouping(1, 0.5).group(L, np.arange(2), rng=0)
+
+    def test_total_above_exact_bound_rejected(self):
+        L = np.full((2, 2), 2**25)
+        with pytest.raises(ValueError, match=r"134217728 samples.*67108864"):
+            CoVGrouping(1, 0.5).group(L, np.arange(2), rng=0)
+        at_bound = CoVGrouping(1, 0.5).group(L // 2, np.arange(2), rng=0)
+        assert sum(g.n_g for g in at_bound) == 2**26
+
+    def test_integral_floats_group_like_ints(self):
+        L = label_matrix(3)
+        ids = np.arange(L.shape[0])
+        as_float = CoVGrouping(3, 0.5).group(L, ids, rng=3)
+        as_int = CoVGrouping(3, 0.5).group(L.astype(np.int64), ids, rng=3)
+        assert partitions_of(as_float) == partitions_of(as_int)
+        for a, b in zip(as_float, as_int):
+            assert np.array_equal(a.label_counts, b.label_counts)
+
+    def test_group_rejects_instead_of_truncating(self):
+        with pytest.raises(ValueError, match="class 0 has 23.16"):
+            Group(4, 0, np.array([1]), np.array([23.16, 22.0]))
+        with pytest.raises(ValueError, match="class 1 has -1"):
+            Group(4, 0, np.array([1]), np.array([3, -1]))
+        g = Group(4, 0, np.array([1]), np.array([23.0, 22.0]))
+        assert g.label_counts.dtype == np.int64
+        assert g.label_counts.tolist() == [23, 22]
 
 
 class TestMetricSemantics:
@@ -132,13 +170,15 @@ class TestMetricSemantics:
 
 class TestParamValidation:
     def test_bad_engine_rejected(self):
-        with pytest.raises(ValueError, match="engine"):
-            CoVGrouping(3, 0.5, engine="turbo")
+        """There is one engine; ``engine=`` is not an argument any more."""
+        for engine in ("turbo", "incremental", "reference"):
+            with pytest.raises(TypeError, match="engine"):
+                CoVGrouping(3, 0.5, engine=engine)
 
     def test_bad_metric_rejected(self):
         with pytest.raises(ValueError, match="cov_metric"):
             CoVGrouping(3, 0.5, cov_metric="variance")
 
-    def test_repr_names_engine_and_metric(self):
-        r = repr(CoVGrouping(3, 0.5, engine="reference", cov_metric="eq27"))
-        assert "reference" in r and "eq27" in r
+    def test_repr_names_metric(self):
+        r = repr(CoVGrouping(3, 0.5, cov_metric="eq27"))
+        assert r == "CoVGrouping(min_group_size=3, max_cov=0.5, cov_metric='eq27')"

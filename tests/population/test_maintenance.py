@@ -1,9 +1,11 @@
-"""OnlineGroupMaintainer: exact moments, bit-identical re-partitions.
+"""OnlineGroupMaintainer: exact counts, exact placement, bit-identical
+re-partitions.
 
-The satellite contract of this subsystem: after *any* sequence of online
-insert/remove/update/migrate operations, the maintained state (counts,
-moments) equals what a from-scratch recomputation over the mutated label
-matrix gives — exactly, because all arithmetic is integer — and
+The contract of this subsystem: after *any* sequence of online
+insert/remove/update/migrate operations, the maintained label counts equal
+what a from-scratch recomputation over the mutated label matrix gives —
+exactly, because all arithmetic is integer — placement picks the group an
+exact-rational oracle (``tests/oracles/placement.py``) picks, and
 ``full_repartition`` is bit-identical to
 :func:`repro.grouping.group_clients_per_edge` with a fresh grouper over
 the same matrix and seed.
@@ -14,9 +16,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.grouping import CoVGrouping, group_clients_per_edge
+from repro.grouping import CoVGrouping, Group, group_clients_per_edge
 from repro.population import OnlineGroupMaintainer
 from repro.rng import make_rng
+from tests.oracles.placement import best_placement
 
 
 def _label_matrix(rng: np.random.Generator, n: int = 24, m: int = 6) -> np.ndarray:
@@ -44,15 +47,12 @@ def _build(L, grouper, seed):
 def _assert_consistent(maint: OnlineGroupMaintainer, L: np.ndarray, active: set):
     """Maintained state == recomputed-from-scratch over the mutated L."""
     seen: set[int] = set()
-    for gi, g in enumerate(maint.groups()):
+    for g in maint.groups():
         members = g.members.tolist()
         assert members, "empty group survived"
         seen.update(members)
         expect = L[g.members].sum(axis=0, dtype=np.int64)
         assert np.array_equal(g.label_counts, expect)
-        s1, s2 = maint.moments()[gi]
-        assert s1 == int(expect.sum())
-        assert s2 == int(expect @ expect)
         assert len({int(maint.edge_of_client[c]) for c in members}) == 1
     assert seen == active, "partition does not cover the active set exactly"
 
@@ -182,6 +182,61 @@ class TestPlacement:
         grouper = CoVGrouping(2, 0.5)
         with pytest.raises(ValueError, match="integer label matrix"):
             OnlineGroupMaintainer(grouper, np.ones((4, 2)), np.zeros(4, dtype=int))
+
+
+def _placed(group_counts, row, metric):
+    """Position ``insert_client`` picks for a client with ``row`` among
+    one-client groups with the given counts, all on one edge."""
+    L = np.array([*group_counts, row], dtype=np.int64)
+    k = len(group_counts)
+    groups = [Group(i, 0, [i], L[i]) for i in range(k)]
+    grouper = CoVGrouping(1, float("inf"), cov_metric=metric)
+    maint = OnlineGroupMaintainer(grouper, L, np.zeros(k + 1, dtype=np.int64), groups)
+    return maint.insert_client(k)
+
+
+@pytest.mark.parametrize("metric", ["cov", "eq27"])
+class TestPlacementMatchesOracle:
+    """The cross-multiplied comparator against ``Fraction`` scores."""
+
+    def test_exact_ties_go_to_first_position(self, metric):
+        # A constant row keeps permuted counts permutations of each other:
+        # both metrics tie them exactly, behind a clearly worse group.
+        counts = [[9, 1, 0], [1, 2, 3], [3, 1, 2], [2, 3, 1]]
+        row = [4, 4, 4]
+        assert best_placement(counts, row, metric) == 1
+        assert _placed(counts, row, metric) == 1
+
+    def test_scaled_counts_and_empty_candidates(self, metric):
+        # cov ties [2, 4, 6] with [1, 2, 3]; eq27 does not. A zero row
+        # leaves the empty group at CoV = inf, never chosen.
+        counts = [[0, 0, 0], [2, 4, 6], [1, 2, 3], [0, 0, 0]]
+        row = [0, 0, 0]
+        want = best_placement(counts, row, metric)
+        assert want == (1 if metric == "cov" else 2)
+        assert _placed(counts, row, metric) == want
+        assert _placed([[0, 0], [0, 0]], [0, 0], metric) == 0
+
+    def test_beyond_int64_products(self, metric):
+        # Equal S1, S2 apart by 4 at S2 ≈ 3e18: the second group is better,
+        # float64 scores of the two are equal (a float comparator would
+        # keep the first), and S2·S1² ≈ 2.7e37 overflows any fixed-width
+        # cross-product.
+        n = 10**9
+        counts = [[n + 1, n + 1, n - 2], [n + 1, n - 1, n]]
+        s1 = 3 * n
+        s2 = sum(c * c for c in counts[1])
+        assert s2 * s1**2 > 2**63
+        assert best_placement(counts, [0, 0, 0], metric) == 1
+        assert _placed(counts, [0, 0, 0], metric) == 1
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_random_large_counts(self, seed, metric):
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(0, 10**7, size=(6, 5))
+        counts[rng.random(size=counts.shape) < 0.3] = 0
+        row = rng.integers(0, 10**7, size=5)
+        assert _placed(counts, row, metric) == best_placement(counts, row, metric)
 
 
 class TestWatchdog:

@@ -11,7 +11,9 @@ Three historical failure modes:
    stricter internal sum check, so a vector we accepted was rejected one
    call deeper.
 3. Input sniffing — ``groups[0]`` type detection broke on non-indexable
-   iterables and silently mis-read mixed Group/float input.
+   iterables and silently mis-read mixed Group/float input. Now
+   ``sampling_probabilities`` takes CoV values only and names any other
+   element; groups are scored through their label counts.
 """
 
 from __future__ import annotations
@@ -134,8 +136,8 @@ class TestFlooredVectorDraw:
 class TestInputNormalization:
     def test_generator_of_groups(self):
         groups = make_groups([0.2, 0.4])
-        p = sampling_probabilities(g for g in groups)
-        assert p.shape == (2,)
+        with pytest.raises(TypeError, match="sampling_probabilities_from_counts"):
+            sampling_probabilities(g for g in groups)
 
     def test_generator_of_floats(self):
         p = sampling_probabilities((c for c in [0.2, 0.4, 0.8]), "rcov")
@@ -156,7 +158,7 @@ class TestInputNormalization:
 
     def test_mixed_groups_and_floats_rejected(self):
         groups = make_groups([0.2])
-        with pytest.raises(TypeError, match="mixed"):
+        with pytest.raises(TypeError, match="of type Group"):
             sampling_probabilities([groups[0], 0.4])
 
     def test_non_iterable_rejected(self):

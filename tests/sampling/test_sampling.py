@@ -12,6 +12,7 @@ from repro.sampling import (
     aggregation_weights,
     sample_without_replacement,
     sampling_probabilities,
+    sampling_probabilities_from_counts,
     uniform_probabilities,
 )
 
@@ -71,13 +72,16 @@ class TestProbabilities:
         with pytest.raises(KeyError):
             sampling_probabilities(np.array([1.0]), "bogus")
 
-    def test_accepts_group_objects(self):
+    def test_groups_scored_through_their_counts(self):
         groups = [
             Group(0, 0, np.array([0]), np.array([10, 10])),  # CoV 0
             Group(1, 0, np.array([1]), np.array([20, 0])),  # CoV 1
         ]
-        p = sampling_probabilities(groups, "rcov")
+        counts = np.stack([g.label_counts for g in groups])
+        p = sampling_probabilities_from_counts(counts, "rcov")
         assert p[0] > p[1]
+        with pytest.raises(TypeError, match="of type Group"):
+            sampling_probabilities(groups, "rcov")
 
     @given(
         st.lists(st.floats(0.01, 10.0), min_size=2, max_size=30),
@@ -262,6 +266,19 @@ class TestGroupSampler:
     def test_invalid_num_sampled(self):
         with pytest.raises(ValueError):
             GroupSampler([], method="random", num_sampled=1)
+
+    @pytest.mark.parametrize("method", ["random", "rcov", "srcov", "esrcov"])
+    def test_one_pass_p_bytes_match_per_group_covs(self, method):
+        """Scoring the stacked counts in one pass gives the same p bytes as
+        scoring each group's CoV on its own."""
+        rng = np.random.default_rng(5)
+        groups = [
+            Group(i, 0, np.array([i]), rng.integers(0, 400, size=10))
+            for i in range(439)
+        ]
+        sampler = GroupSampler(groups, method=method, num_sampled=8, rng=0)
+        per_group = sampling_probabilities([g.cov for g in groups], method)
+        assert sampler.p.tobytes() == per_group.tobytes()
 
     def test_esrcov_prefers_low_cov(self):
         sampler = self.make_sampler(method="esrcov", num=1)

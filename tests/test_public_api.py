@@ -1,9 +1,15 @@
-"""Smoke tests for the top-level public API."""
+"""Smoke tests for the top-level public API and the docs that name it."""
+
+import importlib
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import repro
+
+REPO = Path(__file__).parents[1]
 
 
 class TestPublicAPI:
@@ -46,3 +52,53 @@ class TestPublicAPI:
         history = trainer.run()
         assert history.total_cost > 0
         assert 0.0 <= history.final_accuracy <= 1.0
+
+
+def _resolve(dotted: str):
+    """Import ``dotted`` — a module, or attributes under the longest
+    importable module prefix; a bare ``Name.attr`` resolves from ``repro``."""
+    parts = dotted.split(".")
+    if parts[0] != "repro":
+        parts = ["repro", *parts]
+    for cut in range(len(parts), 0, -1):
+        try:
+            obj = importlib.import_module(".".join(parts[:cut]))
+        except ModuleNotFoundError:
+            continue
+        for attr in parts[cut:]:
+            obj = getattr(obj, attr)
+        return obj
+    raise ModuleNotFoundError(dotted)
+
+
+def _theory_code_refs() -> list[str]:
+    """Every backticked reference in the "Code" column of docs/THEORY.md."""
+    refs = []
+    for line in (REPO / "docs" / "THEORY.md").read_text().splitlines():
+        cells = re.split(r"(?<!\\)\|", line)
+        if len(cells) != 5 or cells[3].strip() in ("Code", "---"):
+            continue
+        refs += re.findall(r"`([^`]+)`", cells[3])
+    return refs
+
+
+class TestTheoryMap:
+    def test_code_column_names_import(self):
+        dotted = [
+            ref.split("(")[0]
+            for ref in _theory_code_refs()
+            if re.fullmatch(r"[A-Za-z_]\w*(\.[A-Za-z_]\w*)+", ref.split("(")[0])
+        ]
+        assert len(dotted) >= 15, dotted
+        missing = []
+        for name in dotted:
+            try:
+                _resolve(name)
+            except (ImportError, AttributeError):
+                missing.append(name)
+        assert not missing, f"docs/THEORY.md names code that no longer imports: {missing}"
+
+    def test_code_column_paths_exist(self):
+        paths = [ref.split("::")[0] for ref in _theory_code_refs() if "/" in ref]
+        assert paths
+        assert not [p for p in paths if not (REPO / p).is_file()]
