@@ -18,8 +18,12 @@ Quick tour
 >>> trainer = GroupFELTrainer(lambda: make_mlp(192, 10, seed=0), fed, groups,
 ...                           TrainerConfig(max_rounds=5), paper_cost_model())
 >>> history = trainer.run()
+
+Importing the package fixes glibc's malloc thresholds (see
+``repro._heap``) so that peak memory follows the live arrays.
 """
 
+from repro._heap import pin_malloc_thresholds
 from repro.attacks import (
     LabelFlipAttack,
     ScalingAttack,
@@ -127,6 +131,8 @@ from repro.secure import (
 from repro.telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry
 from repro.theory import BoundInputs, convergence_bound
 from repro.topology import CommModel, HierarchicalTopology
+
+pin_malloc_thresholds()
 
 __version__ = "1.0.0"
 

@@ -3,9 +3,35 @@
 The convolution path uses im2col/col2im so the inner loops become one big
 GEMM per layer — the canonical vectorization trick from the scientific-
 Python optimization guide (replace Python loops with one BLAS call).
+
+Around those GEMMs the conv kernels only move data, and they are written so
+that every float they produce is the one the textbook form produces:
+
+* ``im2col`` is one ``np.take`` gather from a zero-padded copy of the input
+  through a flat index that depends only on (C, spatial size, kernel,
+  stride, pad). The index is built once per shape, kept read-only in a
+  bounded cache, and safe to share across threads. A gather copies values,
+  so the column matrix — the GEMM operand — holds exactly the input's bits
+  (including ``-0.0``, ``inf`` and NaN payloads) in the usual
+  (N·OH·OW, C·KH·KW) row order.
+* ``col2im`` accumulates into a channels-last zero buffer, one strided add
+  per kernel offset in row-major (i, j) order, then makes one contiguous
+  NCHW copy. Every input-gradient element is the same left-to-right sum,
+  starting from ``+0.0``, that the NCHW loop computes, so it is bit-equal —
+  signed zeros included — and only the memory walk changes.
+
+The rule: only data movement may change — never the operands of a GEMM
+(permuting a GEMM operand's columns changes its blocking and therefore its
+rounding), and never the order of the additions that make one value.
+``tests/nn/test_conv_kernels.py`` holds both kernel pairs byte-equal to
+the strided-view originals kept in ``tests/oracles/conv_reference.py``.
 """
 
 from __future__ import annotations
+
+import functools
+import itertools
+import math
 
 import numpy as np
 
@@ -37,31 +63,79 @@ def conv_output_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return out
 
 
+@functools.lru_cache(maxsize=64)
+def _patch_index(
+    channels: int,
+    size: tuple[int, ...],
+    kernel: tuple[int, ...],
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """Read-only ``(prod(out), C*prod(kernel))`` flat offsets of every patch.
+
+    Row r lists, in (C, *kernel) row-major order, the positions inside one
+    zero-padded ``(C, *size + 2*pad)`` sample that output position r reads.
+    Depends only on the layer geometry, so one array serves every batch.
+    """
+    padded = [s + 2 * pad for s in size]
+    steps = np.cumprod([1, *padded[::-1]])[::-1]  # element strides: C, *spatial
+    origin = np.zeros(1, dtype=np.intp)
+    patch = np.arange(channels, dtype=np.intp) * steps[0]
+    for s, k, step in zip(size, kernel, steps[1:]):
+        out = conv_output_size(s, k, stride, pad)
+        origin = np.add.outer(origin, np.arange(out) * (stride * step)).ravel()
+        patch = np.add.outer(patch, np.arange(k) * step).ravel()
+    index = np.add.outer(origin, patch).astype(np.intp, copy=False)
+    index.flags.writeable = False
+    return index
+
+
+def _unfold(x: np.ndarray, kernel: tuple[int, ...], stride: int, pad: int) -> np.ndarray:
+    """``(N, C, *size)`` -> ``(N * prod(out), C * prod(kernel))`` patch rows."""
+    n, c, *size = x.shape
+    index = _patch_index(c, tuple(size), kernel, stride, pad)
+    if pad > 0:
+        padded = np.zeros((n, c, *(s + 2 * pad for s in size)), dtype=x.dtype)
+        padded[(slice(None), slice(None), *(slice(pad, pad + s) for s in size))] = x
+        x = padded
+    cols = np.take(x.reshape(n, math.prod(x.shape[1:])), index, axis=1)
+    return cols.reshape(n * index.shape[0], index.shape[1])
+
+
+def _fold(
+    cols: np.ndarray,
+    x_shape: tuple[int, ...],
+    kernel: tuple[int, ...],
+    stride: int,
+    pad: int,
+) -> np.ndarray:
+    """Adjoint of :func:`_unfold`: sum patch rows back onto ``x_shape``."""
+    n, c, *size = x_shape
+    out = [conv_output_size(s, k, stride, pad) for s, k in zip(size, kernel)]
+    grad = np.zeros((n, *(s + 2 * pad for s in size), c), dtype=cols.dtype)
+    patches = cols.reshape(n, *out, c, *kernel)
+    # One strided add per kernel offset, offsets in row-major order: each
+    # element's sum runs in the same order as the NCHW formulation.
+    for offset in itertools.product(*map(range, kernel)):
+        window = tuple(slice(o, o + stride * m, stride) for o, m in zip(offset, out))
+        grad[(slice(None), *window)] += patches[(..., *offset)]
+    interior = grad[(slice(None), *(slice(pad, pad + s) for s in size))]
+    return np.ascontiguousarray(np.moveaxis(interior, -1, 1))
+
+
 def im2col(
     x: np.ndarray, kernel: int | tuple[int, int], stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, tuple[int, int]]:
     """Unfold ``(N, C, H, W)`` into ``(N*OH*OW, C*KH*KW)`` patch rows.
 
-    Returns the column matrix plus the output spatial shape ``(OH, OW)``.
-    Uses stride tricks (a view, not a copy) before the final reshape so the
-    only data movement is the one unavoidable gather.
+    Returns the column matrix (C-contiguous) plus the output spatial shape
+    ``(OH, OW)``. One gather through a cached read-only index.
     """
     kh, kw = _pair(kernel)
-    n, c, h, w = x.shape
+    _, _, h, w = x.shape
     oh = conv_output_size(h, kh, stride, pad)
     ow = conv_output_size(w, kw, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    sn, sc, sh, sw = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, oh, ow, kh, kw),
-        strides=(sn, sc, sh * stride, sw * stride, sh, sw),
-        writeable=False,
-    )
-    # (N, OH, OW, C, KH, KW) -> rows of patches.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), (oh, ow)
+    return _unfold(x, (kh, kw), stride, pad), (oh, ow)
 
 
 def col2im(
@@ -71,42 +145,17 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Fold patch-gradient rows back to an input gradient (im2col adjoint)."""
-    kh, kw = _pair(kernel)
-    n, c, h, w = x_shape
-    oh = conv_output_size(h, kh, stride, pad)
-    ow = conv_output_size(w, kw, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    grad = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    patches = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 4, 5, 1, 2)
-    # Scatter-add each kernel offset in one vectorized slice assignment.
-    for i in range(kh):
-        i_max = i + stride * oh
-        for j in range(kw):
-            j_max = j + stride * ow
-            grad[:, :, i:i_max:stride, j:j_max:stride] += patches[:, :, i, j]
-    if pad > 0:
-        return grad[:, :, pad:-pad, pad:-pad]
-    return grad
+    """Fold patch-gradient rows back to a contiguous ``(N, C, H, W)`` input
+    gradient (im2col adjoint)."""
+    return _fold(cols, x_shape, _pair(kernel), stride, pad)
 
 
 def im2col_1d(
     x: np.ndarray, kernel: int, stride: int = 1, pad: int = 0
 ) -> tuple[np.ndarray, int]:
     """Unfold ``(N, C, L)`` into ``(N*OL, C*K)`` patch rows; returns (cols, OL)."""
-    n, c, length = x.shape
-    ol = conv_output_size(length, kernel, stride, pad)
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad)), mode="constant")
-    sn, sc, sl = x.strides
-    windows = np.lib.stride_tricks.as_strided(
-        x,
-        shape=(n, c, ol, kernel),
-        strides=(sn, sc, sl * stride, sl),
-        writeable=False,
-    )
-    cols = windows.transpose(0, 2, 1, 3).reshape(n * ol, c * kernel)
-    return np.ascontiguousarray(cols), ol
+    ol = conv_output_size(x.shape[2], kernel, stride, pad)
+    return _unfold(x, (kernel,), stride, pad), ol
 
 
 def col2im_1d(
@@ -116,17 +165,8 @@ def col2im_1d(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Adjoint of :func:`im2col_1d`."""
-    n, c, length = x_shape
-    ol = conv_output_size(length, kernel, stride, pad)
-    lp = length + 2 * pad
-    grad = np.zeros((n, c, lp), dtype=cols.dtype)
-    patches = cols.reshape(n, ol, c, kernel).transpose(0, 2, 3, 1)
-    for k in range(kernel):
-        grad[:, :, k : k + stride * ol : stride] += patches[:, :, k]
-    if pad > 0:
-        return grad[:, :, pad:-pad]
-    return grad
+    """Adjoint of :func:`im2col_1d`; returns a contiguous ``(N, C, L)``."""
+    return _fold(cols, x_shape, (kernel,), stride, pad)
 
 
 def softmax(logits: np.ndarray, axis: int = -1) -> np.ndarray:

@@ -60,6 +60,16 @@ class Layer:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
+        """The parameter-gradient half of :meth:`backward`.
+
+        For a layer whose input gradient nobody reads — the first layer
+        under :meth:`Model.loss_and_grad`. The default runs ``backward``
+        and drops the result; layers whose input gradient costs a GEMM
+        skip building it.
+        """
+        self.backward(grad_out)
+
     def zero_grads(self) -> None:
         for g in self.grads.values():
             g.fill(0.0)
@@ -93,18 +103,97 @@ class Dense(Layer):
         return x @ self.params["W"] + self.params["b"]
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        self.accumulate_grads(grad_out)
+        return grad_out @ self.params["W"].T
+
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
         x = self._x
         if x is None:
             raise RuntimeError("backward called before a training forward pass")
         self.grads["W"] += x.T @ grad_out
         self.grads["b"] += grad_out.sum(axis=0)
-        return grad_out @ self.params["W"].T
 
     def __repr__(self) -> str:
         return f"Dense({self.in_features}, {self.out_features})"
 
 
-class Conv2d(Layer):
+class _Conv(Layer):
+    """Convolution as im2col + GEMM over ``ndim`` spatial axes.
+
+    Weight shape (C_out, C_in, *kernel). Subclasses supply the unfold/fold
+    kernel pair for their rank.
+    """
+
+    def __init__(
+        self,
+        in_channels: int,
+        out_channels: int,
+        kernel_size: int,
+        rng: np.random.Generator,
+        stride: int,
+        padding: int,
+        ndim: int,
+    ):
+        super().__init__()
+        self.in_channels = in_channels
+        self.out_channels = out_channels
+        self.kernel_size = kernel_size
+        self.stride = stride
+        self.padding = padding
+        self.add_param(
+            "W",
+            kaiming_normal(
+                rng,
+                (out_channels, in_channels, *(kernel_size,) * ndim),
+                in_channels * kernel_size**ndim,
+            ),
+        )
+        self.add_param("b", np.zeros(out_channels))
+        self._cols: np.ndarray | None = None
+        self._x_shape: tuple[int, ...] | None = None
+
+    def _unfold(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        """Patch rows of ``x`` plus the output spatial shape."""
+        raise NotImplementedError
+
+    def _fold(self, grad_cols: np.ndarray) -> np.ndarray:
+        """Adjoint of :meth:`_unfold` onto the cached input shape."""
+        raise NotImplementedError
+
+    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
+        cols, out_size = self._unfold(x)
+        w_mat = self.params["W"].reshape(self.out_channels, -1)
+        out = cols @ w_mat.T
+        out += self.params["b"]
+        if training:
+            self._cols = cols
+            self._x_shape = x.shape
+        return np.moveaxis(out.reshape(x.shape[0], *out_size, self.out_channels), -1, 1)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        grad_rows = self._accumulate(grad_out)
+        return self._fold(grad_rows @ self.params["W"].reshape(self.out_channels, -1))
+
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
+        self._accumulate(grad_out)
+
+    def _accumulate(self, grad_out: np.ndarray) -> np.ndarray:
+        """Add the W/b gradients; return ``grad_out`` as (positions, C_out) rows."""
+        if self._cols is None or self._x_shape is None:
+            raise RuntimeError("backward called before a training forward pass")
+        grad_rows = np.moveaxis(grad_out, 1, -1).reshape(-1, self.out_channels)
+        self.grads["W"] += (grad_rows.T @ self._cols).reshape(self.params["W"].shape)
+        self.grads["b"] += grad_rows.sum(axis=0)
+        return grad_rows
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({self.in_channels}, {self.out_channels}, "
+            f"k={self.kernel_size}, s={self.stride}, p={self.padding})"
+        )
+
+
+class Conv2d(_Conv):
     """2-D convolution via im2col + GEMM. Weight shape (C_out, C_in, KH, KW)."""
 
     def __init__(
@@ -116,50 +205,16 @@ class Conv2d(Layer):
         stride: int = 1,
         padding: int = 0,
     ):
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        fan_in = in_channels * kernel_size * kernel_size
-        self.add_param(
-            "W",
-            kaiming_normal(rng, (out_channels, in_channels, kernel_size, kernel_size), fan_in),
-        )
-        self.add_param("b", np.zeros(out_channels))
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int, int] | None = None
+        super().__init__(in_channels, out_channels, kernel_size, rng, stride, padding, ndim=2)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        n = x.shape[0]
-        cols, (oh, ow) = im2col(x, self.kernel_size, self.stride, self.padding)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T + self.params["b"]
-        if training:
-            self._cols = cols
-            self._x_shape = x.shape
-        return out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
+    def _unfold(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+        return im2col(x, self.kernel_size, self.stride, self.padding)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        n, c_out, oh, ow = grad_out.shape
-        grad_rows = grad_out.transpose(0, 2, 3, 1).reshape(n * oh * ow, c_out)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        self.grads["W"] += (grad_rows.T @ self._cols).reshape(self.params["W"].shape)
-        self.grads["b"] += grad_rows.sum(axis=0)
-        grad_cols = grad_rows @ w_mat
+    def _fold(self, grad_cols: np.ndarray) -> np.ndarray:
         return col2im(grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding)
 
-    def __repr__(self) -> str:
-        return (
-            f"Conv2d({self.in_channels}, {self.out_channels}, k={self.kernel_size}, "
-            f"s={self.stride}, p={self.padding})"
-        )
 
-
-class Conv1d(Layer):
+class Conv1d(_Conv):
     """1-D convolution via im2col + GEMM. Weight shape (C_out, C_in, K)."""
 
     def __init__(
@@ -171,44 +226,14 @@ class Conv1d(Layer):
         stride: int = 1,
         padding: int = 0,
     ):
-        super().__init__()
-        self.in_channels = in_channels
-        self.out_channels = out_channels
-        self.kernel_size = kernel_size
-        self.stride = stride
-        self.padding = padding
-        fan_in = in_channels * kernel_size
-        self.add_param("W", kaiming_normal(rng, (out_channels, in_channels, kernel_size), fan_in))
-        self.add_param("b", np.zeros(out_channels))
-        self._cols: np.ndarray | None = None
-        self._x_shape: tuple[int, int, int] | None = None
+        super().__init__(in_channels, out_channels, kernel_size, rng, stride, padding, ndim=1)
 
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        n = x.shape[0]
+    def _unfold(self, x: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
         cols, ol = im2col_1d(x, self.kernel_size, self.stride, self.padding)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        out = cols @ w_mat.T + self.params["b"]
-        if training:
-            self._cols = cols
-            self._x_shape = x.shape
-        return out.reshape(n, ol, self.out_channels).transpose(0, 2, 1)
+        return cols, (ol,)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._cols is None or self._x_shape is None:
-            raise RuntimeError("backward called before a training forward pass")
-        n, c_out, ol = grad_out.shape
-        grad_rows = grad_out.transpose(0, 2, 1).reshape(n * ol, c_out)
-        w_mat = self.params["W"].reshape(self.out_channels, -1)
-        self.grads["W"] += (grad_rows.T @ self._cols).reshape(self.params["W"].shape)
-        self.grads["b"] += grad_rows.sum(axis=0)
-        grad_cols = grad_rows @ w_mat
+    def _fold(self, grad_cols: np.ndarray) -> np.ndarray:
         return col2im_1d(grad_cols, self._x_shape, self.kernel_size, self.stride, self.padding)
-
-    def __repr__(self) -> str:
-        return (
-            f"Conv1d({self.in_channels}, {self.out_channels}, k={self.kernel_size}, "
-            f"s={self.stride}, p={self.padding})"
-        )
 
 
 class ReLU(Layer):
@@ -438,19 +463,28 @@ class _BatchNormBase(Layer):
         beta = self._reshape(self.params["beta"], ndim)
         if training:
             mean = x.mean(axis=self._axes)
-            var = x.var(axis=self._axes)
+            # One centred tensor serves both the variance and x_hat. numpy's
+            # var is this same mean, subtraction, square and sum/count, so
+            # both keep their exact values.
+            x_hat = x - self._reshape(mean, ndim)
+            var = np.square(x_hat).mean(axis=self._axes)
             rm, rv = self.params["running_mean"], self.params["running_var"]
             rm *= 1.0 - self.momentum
             rm += self.momentum * mean
             rv *= 1.0 - self.momentum
             rv += self.momentum * var
             inv_std = 1.0 / np.sqrt(var + self.eps)
-            x_hat = (x - self._reshape(mean, ndim)) * self._reshape(inv_std, ndim)
+            x_hat *= self._reshape(inv_std, ndim)
             self._cache = (x_hat, inv_std)
-            return gamma * x_hat + beta
-        mean = self._reshape(self.params["running_mean"], ndim)
-        var = self._reshape(self.params["running_var"], ndim)
-        return gamma * (x - mean) / np.sqrt(var + self.eps) + beta
+            out = gamma * x_hat
+        else:
+            mean = self._reshape(self.params["running_mean"], ndim)
+            var = self._reshape(self.params["running_var"], ndim)
+            out = x - mean
+            np.multiply(gamma, out, out=out)
+            out /= np.sqrt(var + self.eps)
+        out += beta
+        return out
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         if self._cache is None:

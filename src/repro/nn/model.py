@@ -35,6 +35,10 @@ class Model:
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
+        """:meth:`backward` for a caller that discards the input gradient."""
+        self.backward(grad_out)
+
     # -- flat parameter interface -------------------------------------------------
     @property
     def layers(self) -> Sequence[Layer]:
@@ -110,12 +114,16 @@ class Model:
     def loss_and_grad(
         self, x: np.ndarray, y: np.ndarray, loss_fn: Loss | None = None
     ) -> float:
-        """One forward+backward pass; gradients accumulate into the layers."""
+        """One forward+backward pass; gradients accumulate into the layers.
+
+        The input gradient is never built (see :meth:`accumulate_grads`);
+        call :meth:`backward` when it is wanted.
+        """
         loss_fn = loss_fn or CrossEntropyLoss()
         self.zero_grads()
         logits = self.forward(x, training=True)
         loss, grad = loss_fn(logits, y)
-        self.backward(grad)
+        self.accumulate_grads(grad)
         return loss
 
     def predict(self, x: np.ndarray, batch_size: int = 256) -> np.ndarray:
@@ -164,6 +172,14 @@ class Sequential(Model):
         for layer in reversed(self._layers):
             grad_out = layer.backward(grad_out)
         return grad_out
+
+    def accumulate_grads(self, grad_out: np.ndarray) -> None:
+        """Backward that never builds the first layer's input gradient
+        (for a conv stem that is one GEMM plus a col2im per step)."""
+        for layer in reversed(self._layers[1:]):
+            grad_out = layer.backward(grad_out)
+        if self._layers:
+            self._layers[0].accumulate_grads(grad_out)
 
     def __repr__(self) -> str:
         inner = ", ".join(repr(layer) for layer in self._layers)

@@ -17,20 +17,23 @@ import pytest
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.costs import paper_cost_model
 from repro.grouping import CoVGrouping, group_clients_per_edge
-from repro.nn import make_mlp
+from repro.nn import make_mlp, make_resnet_lite
 from repro.secure.backdoor import BackdoorDetector
 
 BACKENDS = ["serial", "thread", "process"]
 
-# Module-level so the process backend can pickle it.
+# Module-level so the process backend can pickle them.
 model_fn = functools.partial(make_mlp, 192, 10, seed=0)
+# The conv path: every thread's im2col reads one shared patch-index cache.
+resnet_fn = functools.partial(make_resnet_lite, base_width=4, seed=0)
 
 
 def _run(
     small_fed, small_edges, backend: str, faults=None, secagg=None,
-    backdoor_detector=None, **config,
+    backdoor_detector=None, model=model_fn, **config,
 ):
-    """(params SHA, fault-trace signature, ledger total) of one seeded run."""
+    """(params SHA, fault-trace signature, ledger total, test loss and
+    accuracy curves) of one seeded run."""
     groups = group_clients_per_edge(
         CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
     )
@@ -46,17 +49,20 @@ def _run(
         faults=faults, **config,
     )
     trainer = GroupFELTrainer(
-        model_fn, small_fed, groups, cfg, paper_cost_model(),
+        model, small_fed, groups, cfg, paper_cost_model(),
         backdoor_detector=backdoor_detector,
     )
     try:
-        trainer.run()
+        history = trainer.run()
     finally:
         trainer.close()
     digest = hashlib.sha256(
         np.ascontiguousarray(trainer.global_params).tobytes()
     ).hexdigest()
-    return digest, trainer.fault_trace.signature(), trainer.ledger.total
+    return (
+        digest, trainer.fault_trace.signature(), trainer.ledger.total,
+        tuple(history.test_loss), tuple(history.test_acc),
+    )
 
 
 @pytest.mark.slow
@@ -101,4 +107,29 @@ def test_serial_and_thread_agree_fast(small_fed, small_edges):
     spec = "dropout:0.35@after,loss:0.2"
     a = _run(small_fed, small_edges, "serial", faults=spec)
     b = _run(small_fed, small_edges, "thread", faults=spec)
+    assert a == b
+
+
+def test_resnet_serial_and_thread_agree(small_fed, small_edges):
+    """Conv + BatchNorm models on the per-client loop: thread workers share
+    the read-only patch-index cache and must not change a bit."""
+    a = _run(small_fed, small_edges, "serial", model=resnet_fn)
+    b = _run(small_fed, small_edges, "thread", model=resnet_fn)
+    assert a == b
+
+
+def test_resnet_pipelined_eval_agrees(small_fed, small_edges):
+    """Pipelined rounds evaluate on a background thread while the next
+    round trains, so two threads run the conv kernels at once."""
+    a = _run(small_fed, small_edges, "serial", model=resnet_fn)
+    b = _run(
+        small_fed, small_edges, "thread", model=resnet_fn, pipeline_rounds=True
+    )
+    assert a == b
+
+
+@pytest.mark.slow
+def test_resnet_process_agrees(small_fed, small_edges):
+    a = _run(small_fed, small_edges, "serial", model=resnet_fn)
+    b = _run(small_fed, small_edges, "process", model=resnet_fn)
     assert a == b
