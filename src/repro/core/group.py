@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.compression.error_feedback import ErrorFeedback
 from repro.core.aggregation import weighted_average
 from repro.core.client import run_local_rounds
 from repro.core.strategies import (
@@ -70,6 +71,20 @@ def resolve_engine(
     )
 
 
+def _narrow(alive: np.ndarray, weights: np.ndarray, dead) -> np.ndarray:
+    """Clear member indices ``dead`` from the survivor mask ``alive`` (in
+    place); return the remaining survivors' ``weights`` renormalised.
+
+    ``weights`` holds one entry per survivor, in member order. Each call
+    renormalises once, so callers call only when a stage removed someone
+    (the detector excepted) — successive renormalisations are not
+    bit-equal to one at the end.
+    """
+    keep = ~np.isin(np.flatnonzero(alive), dead)
+    alive[dead] = False
+    return weights[keep] / weights[keep].sum()
+
+
 def run_group_round(
     model: Model,
     optimizer: SGD,
@@ -97,6 +112,19 @@ def run_group_round(
 ) -> np.ndarray:
     """Run the K×(clients×E) loop for one group; returns the group model.
 
+    Every group round k runs the same stages, for either engine:
+
+    1. fault decisions — who drops ``before`` / ``mid`` / ``after``;
+    2. local training of every member not dropped ``before``;
+    3. ``before`` / ``mid`` dropout events, in member order;
+    4. attacks (``update_transforms``), then compression;
+    5. the survivor mask narrows: pre-upload deaths, lost uploads,
+       ``dropout_prob`` draws, the ban list, the backdoor detector — each
+       stage that removes someone renormalises the survivors' weights;
+    6. aggregation: the ``dropout_aggregator`` recovery protocol when a
+       post-masking drop happened, else SecAgg when it is on, else the
+       plain weighted average.
+
     Parameters
     ----------
     clients:
@@ -109,7 +137,7 @@ def run_group_round(
     backdoor_detector:
         When set, client *updates* (delta from the group model) pass the
         clustering defense before aggregation; flagged clients are dropped
-        from this group round.
+        from this group round and banned for the rest of the session.
     compressor:
         Optional update compressor (``repro.compression``): each client's
         update is compressed (lossy) before leaving the device, and the
@@ -119,12 +147,16 @@ def run_group_round(
         Per-client, per-group-round probability of dropping after local
         training (device failure / connectivity loss). At least one client
         always survives. Dropped clients' updates are excluded and the
-        surviving weights renormalized.
+        surviving weights renormalized. Not drawn in a round whose
+        recovery protocol already runs for a fault-plan drop.
     dropout_aggregator:
         Optional :class:`repro.secure.DropoutTolerantAggregator`: when set
         (and dropouts occur), the aggregation runs the full seed-share
         reconstruction protocol instead of silently skipping the dropped
-        clients — exercising the real recovery path.
+        clients — exercising the real recovery path. Recovery rounds pass
+        the ban list and the detector like any other round. The protocol's
+        session is every member that uploaded: post-masking drops go in as
+        ``dropped``, banned or flagged uploaders as zero-input shareholders.
     telemetry / parent_span_id:
         Optional :class:`repro.telemetry.Telemetry`: the whole call is
         timed as a ``group`` span with ``client_update`` / ``secagg`` /
@@ -139,6 +171,12 @@ def run_group_round(
         ``dropout_aggregator`` is set) — which uploads straggle, and which
         are lost on the uplink after retries. Injected faults are appended
         to ``fault_events`` (a plain list; the trainer merges and meters).
+        Uplink events are recorded after sparing: when too few uploads
+        arrive for ``min_alive`` (the Shamir threshold), the lowest-index
+        drops are spared and reach the aggregate. A spared ``after`` drop
+        records nothing; a spared lost upload records a ``retried``
+        message-loss event that keeps the retries and delay the plan drew
+        (the edge waited out those attempts).
     engine:
         ``"auto"`` (default) trains the whole group through the stacked
         :func:`repro.nn.batched.batched_local_rounds` engine whenever the
@@ -153,6 +191,7 @@ def run_group_round(
     tel = resolve_telemetry(telemetry)
     rng = make_rng(rng)
     members = [clients[int(cid)] for cid in group.members]
+    s = len(members)
     n_i = np.array([c.n for c in members], dtype=np.float64)
     n_g = n_i.sum()
     if n_g <= 0:
@@ -167,331 +206,206 @@ def run_group_round(
     optimizer.reset_state()
 
     group_params = global_params.copy()  # Line 8: x^g_{t,0} = x_t
-    num_params = group_params.shape[0]
-    client_params = np.empty((len(members), num_params))
-    client_rngs = rng.spawn(len(members))
+    client_params = np.empty((s, group_params.shape[0]))
+    client_rngs = rng.spawn(s)
     #: clients the defense flagged earlier in this group session
     banned: set[int] = set()
     #: minimum clients that must deliver an update for aggregation (and for
     #: the recovery protocol's Shamir threshold, when in use)
     min_alive = 1
     if dropout_aggregator is not None:
-        min_alive = min(dropout_aggregator.threshold, len(members))
+        min_alive = min(dropout_aggregator.threshold, s)
 
-    with tel.span(
-        "group",
-        parent_id=parent_span_id,
-        group_id=gid,
-        edge_id=group.edge_id,
-        size=len(members),
-    ):
+    def record(kind: str, k: int, idx: int | None, phase=None, **extra) -> None:
+        if fault_events is not None:
+            cid = None if idx is None else members[idx].client_id
+            fault_events.append(FaultEvent(kind, round_id, gid, cid, k, phase, **extra))
+
+    with tel.span("group", parent_id=parent_span_id, group_id=gid,
+                  edge_id=group.edge_id, size=s):
         for k in range(group_rounds):
-            # ---------------- fault-plan decisions (pure, keyed by ids) ----
+            # ---- 1. fault-plan decisions (pure, keyed by ids) -------------
             # Decided before training so a 'before' dropout skips compute.
             drop_phase: dict[int, str] = {}
             if fault_plan is not None:
                 for idx, client in enumerate(members):
-                    phase = fault_plan.client_dropout(
-                        round_id, gid, k, client.client_id
-                    )
+                    phase = fault_plan.client_dropout(round_id, gid, k, client.client_id)
                     if phase is not None:
                         drop_phase[idx] = phase
                 # Never let dropouts kill the whole aggregation: spare
                 # clients (lowest member index first — deterministic on any
                 # backend) until min_alive can deliver.
-                while len(members) - len(drop_phase) < min_alive and drop_phase:
+                while s - len(drop_phase) < min_alive and drop_phase:
                     del drop_phase[min(drop_phase)]
 
-            if use_batched:
-                # 'before'-drops never train (and never touch their RNG —
-                # same consumption as the reference loop); 'mid'-drops
-                # train, then their update is discarded below.
-                train_idx = [
-                    i for i in range(len(members))
-                    if drop_phase.get(i) != "before"
-                ]
-                if train_idx:
-                    with tel.span(
-                        "client_update", k=k, clients=len(train_idx),
-                        batched=True,
-                    ):
-                        ends = batched_local_rounds(
-                            model,
-                            optimizer,
-                            [members[i] for i in train_idx],
-                            start_params=group_params,
-                            local_rounds=local_rounds,
-                            batch_size=batch_size,
-                            rngs=[client_rngs[i] for i in train_idx],
-                            strategy=strategy,
-                            anchor=group_params,
-                            step_mode=step_mode,
-                            telemetry=tel,
+            # ---- 2. local training: the only engine-specific stage --------
+            # 'before'-drops never train (and never touch their RNG);
+            # 'mid'-drops train, then their update is discarded below.
+            train_idx = [i for i in range(s) if drop_phase.get(i) != "before"]
+            local = dict(
+                start_params=group_params, local_rounds=local_rounds,
+                batch_size=batch_size, strategy=strategy, anchor=group_params,
+                step_mode=step_mode, telemetry=tel,
+            )
+            if use_batched and train_idx:
+                with tel.span("client_update", k=k, clients=len(train_idx),
+                              batched=True):
+                    client_params[train_idx] = batched_local_rounds(
+                        model, optimizer, [members[i] for i in train_idx],
+                        rngs=[client_rngs[i] for i in train_idx], **local,
+                    )
+            elif not use_batched:
+                for i in train_idx:
+                    with tel.span("client_update", client_id=members[i].client_id,
+                                  k=k):
+                        client_params[i], _ = run_local_rounds(
+                            model, optimizer, members[i], rng=client_rngs[i], **local
                         )
-                    for j, i in enumerate(train_idx):
-                        client_params[i] = ends[j]
-                # Fault events land in member order, 'before'/'mid'
-                # interleaved by index — the order the reference loop
-                # appends them in, so FaultTrace signatures match.
-                for idx, client in enumerate(members):
-                    phase = drop_phase.get(idx)
-                    if phase in ("before", "mid"):
-                        client_params[idx] = group_params
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id,
-                                k, phase,
-                            ))
-            else:
-                for idx, client in enumerate(members):
-                    if drop_phase.get(idx) == "before":
-                        # Device died before training: no compute, no
-                        # upload. Zero update keeps downstream buffers
-                        # well-defined.
-                        client_params[idx] = group_params
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id,
-                                k, "before",
-                            ))
-                        continue
-                    with tel.span(
-                        "client_update", client_id=client.client_id, k=k
-                    ):
-                        end, _ = run_local_rounds(
-                            model,
-                            optimizer,
-                            client,
-                            start_params=group_params,
-                            local_rounds=local_rounds,
-                            batch_size=batch_size,
-                            rng=client_rngs[idx],
-                            strategy=strategy,
-                            anchor=group_params,
-                            step_mode=step_mode,
-                            telemetry=tel,
-                        )
-                    client_params[idx] = end
-                    if drop_phase.get(idx) == "mid":
-                        # Died during local steps: compute burned, nothing
-                        # uploaded (the ledger still charges the group —
-                        # that wasted work is the point of the fault).
-                        client_params[idx] = group_params
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id,
-                                k, "mid",
-                            ))
 
-            # Per-round working views (the persistent client_params buffer
-            # must never be rebound — the next k iteration refills it for
-            # all members).
+            # ---- 3. pre-upload deaths: no upload, zero update -------------
+            # (a 'mid' death still burned its compute — the ledger charges
+            # the group; that wasted work is the point of the fault).
+            pre_dead = sorted(i for i, p in drop_phase.items() if p != "after")
+            for i in pre_dead:
+                client_params[i] = group_params
+                record("dropout", k, i, drop_phase[i])
+
+            # ---- 4. attacks (repro.attacks), then compression -------------
+            # The persistent client_params buffer is never rebound: the next
+            # k iteration refills it for all members.
             params_k = client_params
-            weights = data_weights
             updates = client_params - group_params
-            #: members that never reach the uplink this round (before/mid)
-            pre_dead = {i for i, p in drop_phase.items() if p != "after"}
-            # Adversarial clients manipulate their upload (repro.attacks).
+            uploaders = [i for i in range(s) if i not in pre_dead]
             if update_transforms:
-                for idx, client in enumerate(members):
-                    if idx in pre_dead:
-                        continue
-                    attack = update_transforms.get(client.client_id)
+                for i in uploaders:
+                    attack = update_transforms.get(members[i].client_id)
                     if attack is not None:
-                        updates[idx] = attack.transform_update(updates[idx], rng=rng)
+                        updates[i] = attack.transform_update(updates[i], rng=rng)
                 params_k = group_params + updates
             if compressor is not None:
-                from repro.compression.error_feedback import ErrorFeedback
-
-                for idx, client in enumerate(members):
-                    if idx in pre_dead:
-                        continue
+                for i in uploaders:
                     if isinstance(compressor, ErrorFeedback):
                         out = compressor.compress(
-                            client.client_id, updates[idx], rng=rng
+                            members[i].client_id, updates[i], rng=rng
                         )
                     else:
-                        out = compressor.compress(updates[idx], rng=rng)
-                    updates[idx] = out.decoded
+                        out = compressor.compress(updates[i], rng=rng)
+                    updates[i] = out.decoded
                 params_k = group_params + updates
 
-            # ---------------- uplink faults: stragglers + message loss ----
-            cur_members = members
+            # ---- 5. the survivor mask, in member-index space --------------
+            alive = np.ones(s, dtype=bool)
+            weights = data_weights
+            if pre_dead:
+                weights = _narrow(alive, weights, pre_dead)
+            #: post-masking drops: their masks are in flight, their updates
+            #: are not — what the recovery protocol reconstructs
+            lost: list[int] = []
             if fault_plan is not None:
-                after_dead: set[int] = {
-                    i for i, p in drop_phase.items() if p == "after"
-                }
-                for idx, client in enumerate(members):
-                    if idx in pre_dead or idx in after_dead:
+                after_dead = {i for i, p in drop_phase.items() if p == "after"}
+                uplinks = []
+                for i in uploaders:
+                    if i in after_dead:
                         continue
-                    delay = fault_plan.straggler_delay(
-                        round_id, gid, k, client.client_id
-                    )
-                    if delay > 0.0 and fault_events is not None:
-                        fault_events.append(FaultEvent(
-                            "straggler", round_id, gid, client.client_id, k,
-                            delay_s=delay,
-                        ))
-                    up = fault_plan.uplink(round_id, gid, k, client.client_id)
-                    if (up.retries or not up.delivered) and fault_events is not None:
-                        fault_events.append(FaultEvent(
-                            "message_loss", round_id, gid, client.client_id, k,
-                            phase="lost" if not up.delivered else "retried",
-                            delay_s=up.delay_s,
-                            retries=up.retries,
-                        ))
+                    cid = members[i].client_id
+                    delay = fault_plan.straggler_delay(round_id, gid, k, cid)
+                    up = fault_plan.uplink(round_id, gid, k, cid)
+                    uplinks.append((i, delay, up))
                     if not up.delivered:
                         # All retries exhausted: equivalent to dropping
-                        # after masking — the update is gone but its masks
-                        # are in flight.
-                        after_dead.add(idx)
-                for idx, client in enumerate(members):
-                    if idx in after_dead and drop_phase.get(idx) == "after":
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "dropout", round_id, gid, client.client_id, k,
-                                "after",
-                            ))
-                # Keep the aggregation (and Shamir reconstruction) viable.
-                while (
-                    len(members) - len(pre_dead) - len(after_dead) < min_alive
-                    and after_dead
-                ):
+                        # after masking.
+                        after_dead.add(i)
+                # Keep the aggregation (and Shamir reconstruction) viable,
+                # then record: a spared upload reached the aggregate.
+                while len(uploaders) - len(after_dead) < min_alive and after_dead:
                     after_dead.discard(min(after_dead))
+                lost = sorted(after_dead)
+                for i, delay, up in uplinks:
+                    if delay > 0.0:
+                        record("straggler", k, i, delay_s=delay)
+                    if up.retries or not up.delivered:
+                        record("message_loss", k, i,
+                               "lost" if i in after_dead else "retried",
+                               delay_s=up.delay_s, retries=up.retries)
+                for i in lost:
+                    if drop_phase.get(i) == "after":
+                        record("dropout", k, i, "after")
+                if lost:
+                    weights = _narrow(alive, weights, lost)
+            recovering = bool(lost) and dropout_aggregator is not None
 
-                if pre_dead:
-                    keep = np.array(
-                        [i not in pre_dead for i in range(len(members))], dtype=bool
-                    )
-                    updates = updates[keep]
-                    params_k = params_k[keep]
-                    weights = weights[keep] / weights[keep].sum()
-                    cur_members = [
-                        m for i, m in enumerate(members) if i not in pre_dead
-                    ]
-                    # Re-index the after-death set into the filtered frame.
-                    old_to_new = np.cumsum(keep) - 1
-                    after_dead = {int(old_to_new[i]) for i in after_dead}
-
-                if after_dead:
-                    if dropout_aggregator is not None:
-                        # Real recovery: reconstruct the dropped clients'
-                        # masks from survivor seed shares and cancel them.
-                        alive = np.array(
-                            [i not in after_dead for i in range(len(cur_members))],
-                            dtype=bool,
-                        )
-                        w = weights / weights[alive].sum()
-                        with tel.span("secagg", k=k, recovery=True):
-                            res = dropout_aggregator.aggregate(
-                                updates * w[:, None],
-                                dropped=after_dead,
-                                round_id=round_id * group_rounds + k,
-                                rng=rng,
-                            )
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "secagg_recovery", round_id, gid, None, k,
-                                retries=res.reconstructed_pairs,
-                            ))
-                        group_params = group_params + res.total
-                        continue
-                    keep = np.array(
-                        [i not in after_dead for i in range(len(cur_members))],
-                        dtype=bool,
-                    )
-                    updates = updates[keep]
-                    params_k = params_k[keep]
-                    weights = weights[keep] / weights[keep].sum()
-                    cur_members = [
-                        m for i, m in enumerate(cur_members) if i not in after_dead
-                    ]
-
-            # Simulated client dropout: failed clients never submit this round.
-            if dropout_prob > 0.0 and len(cur_members) > 1:
-                alive = rng.random(len(cur_members)) >= dropout_prob
-                # Keep enough survivors for aggregation (and for the recovery
-                # protocol's Shamir threshold, when in use).
-                while alive.sum() < min(min_alive, len(cur_members)):
-                    dead = np.flatnonzero(~alive)
-                    alive[dead[int(rng.integers(dead.size))]] = True
-                if not alive.all():
+            # Simulated client dropout: failed clients never submit this
+            # round (the recovery protocol already covers this round when a
+            # fault-plan drop started it).
+            n_alive = int(alive.sum())
+            if dropout_prob > 0.0 and n_alive > 1 and not recovering:
+                stays = rng.random(n_alive) >= dropout_prob
+                # Keep enough survivors for aggregation (and for the
+                # recovery protocol's Shamir threshold, when in use).
+                while stays.sum() < min(min_alive, n_alive):
+                    dead = np.flatnonzero(~stays)
+                    stays[dead[int(rng.integers(dead.size))]] = True
+                if not stays.all():
                     if tel.enabled:
-                        tel.inc("clients_dropped", float((~alive).sum()))
-                    if dropout_aggregator is not None:
-                        # Real recovery: reconstruct the dropped clients'
-                        # masks from survivor seed shares and cancel them.
-                        dropped = set(np.flatnonzero(~alive).tolist())
-                        w = weights / weights[alive].sum()
-                        with tel.span("secagg", k=k, recovery=True):
-                            res = dropout_aggregator.aggregate(
-                                updates * w[:, None],
-                                dropped=dropped,
-                                round_id=round_id * group_rounds + k,
-                                rng=rng,
-                            )
-                        if fault_events is not None:
-                            fault_events.append(FaultEvent(
-                                "secagg_recovery", round_id, gid, None, k,
-                                retries=res.reconstructed_pairs,
-                            ))
-                        group_params = group_params + res.total
-                        continue
-                    updates = updates[alive]
-                    params_k = params_k[alive]
-                    weights = weights[alive] / weights[alive].sum()
-                    members_round = [m for m, a in zip(cur_members, alive) if a]
-                else:
-                    members_round = cur_members
-            else:
-                members_round = cur_members
+                        tel.inc("clients_dropped", float((~stays).sum()))
+                    lost = np.flatnonzero(alive)[~stays].tolist()
+                    weights = _narrow(alive, weights, lost)
+                    recovering = dropout_aggregator is not None
 
             # Clients flagged in an earlier group round of this session stay
             # banned — re-admitting a detected attacker at k+1 would
             # re-implant whatever the defense just removed.
+            rows = np.flatnonzero(alive)
             if banned:
-                keep_mask = np.array(
-                    [m.client_id not in banned for m in members_round], dtype=bool
-                )
-                if not keep_mask.all() and keep_mask.any():
-                    updates = updates[keep_mask]
-                    params_k = params_k[keep_mask]
-                    weights = weights[keep_mask] / weights[keep_mask].sum()
-                    members_round = [
-                        m for m, kp in zip(members_round, keep_mask) if kp
-                    ]
+                barred = [i for i in rows.tolist() if members[i].client_id in banned]
+                if barred and len(barred) < rows.size:
+                    weights = _narrow(alive, weights, barred)
+                    rows = np.flatnonzero(alive)
 
-            if backdoor_detector is not None and len(members_round) > 1:
-                with tel.span("backdoor", k=k, clients=len(members_round)):
-                    report = backdoor_detector.detect(updates, rng=rng)
-                kept = report.admitted
-                for f in report.flagged:
-                    banned.add(members_round[int(f)].client_id)
+            everyone = rows.size == s
+            vectors = updates if everyone else updates[alive]
+            report = None
+            if backdoor_detector is not None and rows.size > 1:
+                with tel.span("backdoor", k=k, clients=int(rows.size)):
+                    report = backdoor_detector.detect(vectors, rng=rng)
+                banned.update(members[i].client_id for i in rows[report.flagged])
                 if tel.enabled and len(report.flagged):
                     tel.inc("clients_banned", float(len(report.flagged)))
                 # Aggregate the defended (clipped) updates of admitted
                 # clients.
-                kept_weights = weights[kept]
-                kept_weights = kept_weights / kept_weights.sum()
-                if secure_aggregator is not None:
-                    with tel.span("secagg", k=k, clients=int(kept.size)):
-                        agg_update = secure_aggregator.aggregate_weighted(
-                            report.filtered,
-                            kept_weights,
-                            round_id=round_id * group_rounds + k,
-                        )
-                else:
-                    with tel.span("aggregate", k=k):
-                        agg_update = weighted_average(report.filtered, kept_weights)
-                group_params = group_params + agg_update
-            elif secure_aggregator is not None:
-                with tel.span("secagg", k=k, clients=len(members_round)):
-                    agg_update = secure_aggregator.aggregate_weighted(
-                        updates, weights, round_id=round_id * group_rounds + k
+                weights = _narrow(alive, weights, np.delete(rows, report.admitted))
+                vectors = report.filtered
+
+            # ---- 6. aggregation --------------------------------------------
+            sid = round_id * group_rounds + k
+            if recovering:
+                # Real recovery: reconstruct the dropped clients' masks from
+                # survivor seed shares and cancel them. The session is every
+                # uploader; a banned or flagged one stays a shareholder with
+                # a zero input, so excluding it never breaks the threshold.
+                scaled = np.zeros((len(uploaders), vectors.shape[1]))
+                scaled[alive[uploaders]] = vectors * weights[:, None]
+                with tel.span("secagg", k=k, recovery=True):
+                    res = dropout_aggregator.aggregate(
+                        scaled,
+                        dropped=np.flatnonzero(np.isin(uploaders, lost)),
+                        round_id=sid,
+                        rng=rng,
                     )
-                group_params = group_params + agg_update
+                record("secagg_recovery", k, None, retries=res.reconstructed_pairs)
+                group_params = group_params + res.total
+            elif secure_aggregator is not None:
+                with tel.span("secagg", k=k, clients=len(weights)):
+                    group_params = group_params + secure_aggregator.aggregate_weighted(
+                        vectors, weights, round_id=sid
+                    )
             else:
-                # Line 14: x^g_{t,k+1} = Σ_i (n_i/n_g) x^i.
                 with tel.span("aggregate", k=k):
-                    group_params = weighted_average(params_k, weights)
+                    if report is None:
+                        # Line 14: x^g_{t,k+1} = Σ_i (n_i/n_g) x^i.
+                        group_params = weighted_average(
+                            params_k if everyone else params_k[alive], weights
+                        )
+                    else:
+                        group_params = group_params + weighted_average(vectors, weights)
     return group_params
