@@ -18,13 +18,10 @@ IFCA optimizes per-cluster performance rather than one global model.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from repro.core.aggregation import weighted_average
 from repro.core.trainer import GroupFELTrainer
-from repro.faults import FaultEvent
 from repro.grouping.base import Group
 from repro.rng import derive_seed, make_rng
 
@@ -33,6 +30,10 @@ __all__ = ["IFCATrainer"]
 
 class IFCATrainer(GroupFELTrainer):
     """Group-level IFCA.
+
+    Of the base trainer's round it substitutes the route (the E-step), the
+    models (the k centers, evaluated at their groups' data mass) and their
+    adoption (``global_params`` becomes the centers' consensus).
 
     Parameters (beyond GroupFELTrainer's)
     ----------
@@ -56,11 +57,6 @@ class IFCATrainer(GroupFELTrainer):
             raise ValueError(f"num_clusters must be >= 2, got {num_clusters}")
         if init_scale <= 0:
             raise ValueError(f"init_scale must be > 0, got {init_scale}")
-        # Pipelined evaluation scores a single snapshotted parameter
-        # vector; IFCA's metric is a weighted blend over k centers, so the
-        # deferred point would diverge from evaluate(). Keep rounds
-        # synchronous.
-        self.config = replace(self.config, pipeline_rounds=False)
         self.num_clusters = int(num_clusters)
         self.init_scale = float(init_scale)
         self.center_models: list[np.ndarray] = self._cold_start(
@@ -69,7 +65,7 @@ class IFCATrainer(GroupFELTrainer):
         #: group_id -> center index, refreshed for participants each round
         #: and for everyone on regroup/churn.
         self.cluster_assignment: dict[int, int] = {}
-        self._assign_all_groups()
+        self._route(self.groups)
 
     # ------------------------------------------------------------- clustering
     def _cold_start(self, base: np.ndarray) -> list[np.ndarray]:
@@ -95,108 +91,47 @@ class IFCATrainer(GroupFELTrainer):
             total += client.n
         return loss / max(total, 1)
 
-    def _assign_cluster(self, group: Group) -> int:
-        """Lowest-loss center for ``group`` (ties break to the lowest
-        index, deterministically)."""
-        losses = [
-            self._group_loss(group, center) for center in self.center_models
-        ]
-        choice = int(np.argmin(losses))
-        self.cluster_assignment[group.group_id] = choice
-        return choice
-
-    def _assign_all_groups(self) -> None:
-        self.cluster_assignment = {}
-        for g in self.groups:
-            self._assign_cluster(g)
-
     def _on_groups_changed(self) -> None:
         # Regroup or churn rebuilt the partition: group ids no longer name
         # the same member sets, so re-estimate everyone.
-        self._assign_all_groups()
+        self.cluster_assignment = {}
+        self._route(self.groups)
+
+    def _mass(self) -> np.ndarray:
+        """Data mass of each center's assigned groups (uniform if none)."""
+        mass = np.zeros(self.num_clusters)
+        for g in self.groups:
+            c = self.cluster_assignment.get(g.group_id)
+            if c is not None:
+                mass[c] += g.n_g
+        if mass.sum() <= 0:
+            mass[:] = 1.0
+        return mass
 
     def _consensus(self) -> np.ndarray:
         """Data-mass-weighted blend of the centers — the single vector
         checkpoints and compatibility surfaces expect in global_params."""
-        mass = np.zeros(self.num_clusters)
-        for g in self.groups:
-            c = self.cluster_assignment.get(g.group_id)
-            if c is not None:
-                mass[c] += g.n_g
-        if mass.sum() <= 0:
-            mass[:] = 1.0
         return weighted_average(
-            np.vstack(self.center_models), mass, normalize=True
+            np.vstack(self.center_models), self._mass(), normalize=True
         )
 
-    # --------------------------------------------------------------- training
-    def _train_selected(
-        self,
-        selected: list[Group],
-        weights: np.ndarray,
-        group_rngs: list,
-        round_span_id: int | None,
-        round_events: list[FaultEvent],
-    ) -> None:
-        tel = self.telemetry
-        # E-step: participants re-estimate their cluster identity against
-        # the current centers.
+    # ----------------------------------------------------------------- stages
+    def _route(self, selected: list[Group]) -> list[int]:
+        # E-step: each participant re-estimates its cluster identity as the
+        # lowest-loss center (ties break to the lowest index), then trains
+        # from the center it chose.
         for g in selected:
-            self._assign_cluster(g)
-        by_cluster: dict[int, list[int]] = {}
-        for i, g in enumerate(selected):
-            by_cluster.setdefault(self.cluster_assignment[g.group_id], []).append(i)
+            losses = [self._group_loss(g, center) for center in self.center_models]
+            self.cluster_assignment[g.group_id] = int(np.argmin(losses))
+        return [self.cluster_assignment[g.group_id] for g in selected]
 
-        adaptive = self.sampler.adaptive is not None
-        norms = np.empty(len(selected)) if adaptive else None
-        total_bytes = total_size = 0
-        # M-step: each cluster's groups train from its center and fold back
-        # into it. Clusters run in index order (deterministic on every
-        # backend); the executor copies results out per call, so the
-        # several dispatches per round cannot alias each other.
-        for c in sorted(by_cluster):
-            idxs = by_cluster[c]
-            subset = [selected[i] for i in idxs]
-            sub_rngs = [group_rngs[i] for i in idxs]
-            start = self.center_models[c]
-            results = self._execute_groups(subset, sub_rngs, start, round_span_id)
-            for _, events in results:
-                round_events.extend(events)
-            stacked = np.vstack([params for params, _ in results])
-            if norms is not None:
-                norms[idxs] = np.linalg.norm(stacked - start, axis=1)
-            with tel.span("cloud_aggregate", cluster=c, num_groups=len(subset)):
-                self.center_models[c] = weighted_average(
-                    stacked, weights[idxs], normalize=True
-                )
-            total_bytes += stacked.nbytes
-            total_size += stacked.size
-        if norms is not None:
-            self.sampler.observe_update_norms(selected, norms)
+    def _models(self) -> tuple[list[np.ndarray], np.ndarray]:
+        mass = self._mass()
+        return list(self.center_models), mass / mass.sum()
+
+    def _adopt(self, models: list[np.ndarray]) -> None:
+        self.center_models = models
         self.global_params = self._consensus()
-        if tel.enabled:
-            tel.inc("cloud_bytes_aggregated", float(total_bytes))
-            tel.inc("cloud_params_averaged", float(total_size))
-
-    def evaluate(self) -> tuple[float, float]:
-        """Data-weighted mean of per-center global-test performance."""
-        mass = np.zeros(self.num_clusters)
-        for g in self.groups:
-            c = self.cluster_assignment.get(g.group_id)
-            if c is not None:
-                mass[c] += g.n_g
-        if mass.sum() <= 0:
-            mass[:] = 1.0
-        mass = mass / mass.sum()
-        loss = acc = 0.0
-        for c, params in enumerate(self.center_models):
-            if mass[c] == 0.0:
-                continue
-            self.model.set_params(params)
-            l, a = self.model.evaluate(self.fed.test.x, self.fed.test.y)
-            loss += mass[c] * l
-            acc += mass[c] * a
-        return loss, acc
 
     # ---------------------------------------------------------- checkpointing
     def extra_state_dict(self) -> dict | None:

@@ -23,7 +23,6 @@ import numpy as np
 
 from repro.faults import FaultTrace
 from repro.rng import generator_state, restore_generator
-from repro.sampling.sampler import GroupSampler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.core.trainer import GroupFELTrainer, TrainerConfig
@@ -91,27 +90,18 @@ def capture_state(trainer: "GroupFELTrainer") -> dict:
 def restore_state(trainer: "GroupFELTrainer", state: dict) -> None:
     """Install a :func:`capture_state` snapshot into ``trainer`` in place.
 
-    The sampler is rebuilt from the restored groups (its probability
-    vector and sampling scheme are pure functions of them and the config)
-    with its RNG stream restored directly, so the next draw matches the
-    interrupted run's; an ``adaptive`` sampler additionally restores its
-    norm-EMA estimator, replaying the probability trajectory exactly.
+    The sampler is rebuilt by the trainer's own constructor from the
+    restored groups (its probability vector and sampling scheme are pure
+    functions of them and the config) with its RNG stream restored
+    directly, so the next draw matches the interrupted run's; an
+    ``adaptive`` sampler additionally restores its norm-EMA estimator,
+    replaying the probability trajectory exactly.
     """
-    cfg = trainer.config
     trainer.round_idx = int(state["round_idx"])
     trainer.global_params = np.array(state["global_params"], copy=True)
     trainer.rng = restore_generator(state["rng"])
     trainer.groups = list(state["groups"])
-    trainer.sampler = GroupSampler(
-        trainer.groups,
-        method=cfg.sampling_method,
-        num_sampled=min(cfg.num_sampled, len(trainer.groups)),
-        mode=cfg.aggregation_mode,
-        min_prob=cfg.min_prob,
-        rng=restore_generator(state["sampler_rng"]),
-        telemetry=trainer.telemetry,
-        scheme=cfg.sampling_scheme,
-    )
+    trainer.sampler = trainer._make_sampler(restore_generator(state["sampler_rng"]))
     if trainer.sampler.adaptive is not None:
         trainer.sampler.load_adaptive_state_dict(state.get("sampler_adaptive"))
     trainer.sampled_history = list(state["sampled_history"])

@@ -439,10 +439,13 @@ class GroupFELTrainer:
         self.sampled_history: list[list[Group]] = []
         self.round_idx = 0
 
-        #: pipelined-rounds state: the single background worker (created
-        #: per run()) and its not-yet-joined futures
+        #: pipelined-rounds state: the single background worker (open only
+        #: inside a pipelined run()), its not-yet-joined futures, and the
+        #: model recorded points are scored on — its own when pipelined, as
+        #: the main thread may be using self.model for the next round
+        self._pipeline: ThreadPoolExecutor | None = None
         self._pipeline_pending: list = []
-        self._eval_model: Model | None = None
+        self._eval_model = model_fn() if self.config.pipeline_rounds else self.model
         #: span id of the most recently *finished* round — the async
         #: evaluation of round t parents its span here so the span tree
         #: stays per-round even when the eval overlaps round t+1
@@ -525,14 +528,16 @@ class GroupFELTrainer:
             name=f"{cm.name}×{self.strategy.name}",
         )
 
-    def _make_sampler(self) -> GroupSampler:
+    def _make_sampler(self, rng: np.random.Generator | None = None) -> GroupSampler:
+        """The config's sampler over the groups; ``rng`` (a checkpoint's
+        restored stream) defaults to a fresh child of the trainer's."""
         sampler = GroupSampler(
             self.groups,
             method=self.config.sampling_method,
             num_sampled=min(self.config.num_sampled, len(self.groups)),
             mode=self.config.aggregation_mode,
             min_prob=self.config.min_prob,
-            rng=self.rng.spawn(1)[0],
+            rng=self.rng.spawn(1)[0] if rng is None else rng,
             telemetry=self.telemetry,
             scheme=self.config.sampling_scheme,
         )
@@ -557,7 +562,11 @@ class GroupFELTrainer:
         return PopulationTrace()
 
     def _regroup(self) -> None:
-        """Re-run group formation (random seeds make new groupings differ)."""
+        """A round's last stage: every ``regroup_every`` rounds, re-run group
+        formation (random seeds make new groupings differ)."""
+        every = self.config.regroup_every
+        if not every or self.round_idx % every:
+            return
         assert self.grouper is not None and self.edge_assignment is not None
         if self.population_engine is not None:
             # Regroup only the *active* population — the full-pool path
@@ -625,62 +634,62 @@ class GroupFELTrainer:
             self.ledger.record_fault_overhead(delay, len(events))
             self.history.extra["fault_delay_s"].append(delay)
 
-    # ------------------------------------------------------------------ training
-    def _execute_groups(
-        self,
-        selected: list[Group],
-        group_rngs: list[np.random.Generator],
-        start_params: np.ndarray,
-        round_span_id: int | None,
-    ) -> list[tuple[np.ndarray, list[FaultEvent]]]:
-        """Train ``selected`` from ``start_params`` on the configured
-        backend: one ``(group_params, fault_events)`` pair per group, in
-        order. Clustered trainers call this once per cluster."""
-        return self.executor.execute(
-            selected, group_rngs, start_params, self.round_idx, round_span_id
-        )
+    # ------------------------------------------------------------------ stages
+    def _select(self) -> tuple[list[Group], np.ndarray]:
+        """S_t and its aggregation weights: the sampler's draw (Line 7)."""
+        with self.telemetry.span("sample"):
+            return self.sampler.sample()
 
-    def _train_selected(
-        self,
-        selected: list[Group],
-        weights: np.ndarray,
-        group_rngs: list[np.random.Generator],
-        round_span_id: int | None,
-        round_events: list[FaultEvent],
+    def _route(self, selected: list[Group]) -> list[int]:
+        """The index into :meth:`_models` each selected group trains from."""
+        return [0] * len(selected)
+
+    def _models(self) -> tuple[list[np.ndarray], list[float]]:
+        """The models a round trains, with their evaluation masses (sum 1)."""
+        return [self.global_params], [1.0]
+
+    def _adopt(self, models: list[np.ndarray]) -> None:
+        """Install the round's aggregates, one per :meth:`_models` entry."""
+        self.global_params = models[0]
+
+    def _train(
+        self, selected: list[Group], weights: np.ndarray, round_events: list
     ) -> None:
-        """Run the sampled groups and fold their models into the global one.
-
-        The default implementation starts every group from
-        ``self.global_params`` and replaces it with the Eq. (4) weighted
-        average. Clustered trainers override this to route groups through
-        per-cluster center models instead.
-        """
+        """Train each selected group from the model its route names, then
+        fold each model's groups back into it, models in index order: the
+        Eq. (4) aggregate for one model, a normalized mean per model for
+        several (clusters). The executor copies results out per call, so
+        several dispatches per round never alias."""
         tel = self.telemetry
-        results = self._execute_groups(
-            selected, group_rngs, self.global_params, round_span_id
-        )
-        group_models = [params for params, _ in results]
-        for _, events in results:
-            round_events.extend(events)
-
-        stacked = np.vstack(group_models)
-        if self.sampler.adaptive is not None:
-            # Heterogeneity-guided feedback: observed ‖Δ_g‖ refines the
-            # variance-optimal p for the *next* round's draw. Norms are
-            # pure functions of the (bit-identical) group models, so
-            # the p trajectory replays on every backend.
-            self.sampler.observe_update_norms(
-                selected,
-                np.linalg.norm(stacked - self.global_params, axis=1),
+        models, _ = self._models()
+        routes = self._route(selected)
+        group_rngs = self.rng.spawn(len(selected))
+        unbiased = self.config.aggregation_mode is AggregationMode.UNBIASED
+        norms = np.empty(len(selected))
+        for m in sorted(set(routes)):
+            idx = [i for i, r in enumerate(routes) if r == m]
+            results = self.executor.execute(
+                [selected[i] for i in idx], [group_rngs[i] for i in idx],
+                models[m], self.round_idx, self._last_round_span_id,
             )
-        normalize = self.config.aggregation_mode is not AggregationMode.UNBIASED
-        with tel.span("cloud_aggregate", num_groups=len(selected)):
-            self.global_params = weighted_average(
-                stacked, weights, normalize=normalize
-            )
-        if tel.enabled:
-            tel.inc("cloud_bytes_aggregated", float(stacked.nbytes))
-            tel.inc("cloud_params_averaged", float(stacked.size))
+            stacked = np.vstack([params for params, _ in results])
+            for _, events in results:
+                round_events.extend(events)
+            if self.sampler.adaptive is not None:
+                norms[idx] = np.linalg.norm(stacked - models[m], axis=1)
+            with tel.span("cloud_aggregate", model=m, num_groups=len(idx)):
+                models[m] = weighted_average(
+                    stacked, weights[idx], normalize=len(models) > 1 or not unbiased
+                )
+            if tel.enabled:
+                tel.inc("cloud_bytes_aggregated", float(stacked.nbytes))
+                tel.inc("cloud_params_averaged", float(stacked.size))
+        # Heterogeneity-guided feedback (adaptive samplers only): observed
+        # ‖Δ_g‖ refines the variance-optimal p for the *next* round's draw.
+        # Norms are pure functions of the (bit-identical) group models, so
+        # the p trajectory replays on every backend.
+        self.sampler.observe_update_norms(selected, norms)
+        self._adopt(models)
 
     def _on_groups_changed(self) -> None:
         """Hook: the group partition was rebuilt (population churn or a
@@ -704,7 +713,15 @@ class GroupFELTrainer:
             )
 
     def train_round(self) -> float:
-        """Execute one global round (Lines 6–15); returns its cost."""
+        """Execute one global round (Lines 6–15); returns its cost.
+
+        The only round loop: population step → select → group failures →
+        spawn RNGs → train per start model → meter faults →
+        ``strategy.after_global_round`` → charge → wall clock → regroup.
+        Clustered trainers substitute stages (:meth:`_select`,
+        :meth:`_route`, :meth:`_models` / :meth:`_adopt`, :meth:`_regroup`),
+        never the sequence.
+        """
         tel = self.telemetry
         with tel.span("round", index=self.round_idx):
             if self.population_engine is not None:
@@ -723,61 +740,65 @@ class GroupFELTrainer:
                 self.history.extra["population_active"].append(
                     self.population_engine.num_active
                 )
-            with tel.span("sample"):
-                selected, weights = self.sampler.sample()
+            selected, weights = self._select()
             round_events: list[FaultEvent] = []
             if self.fault_plan is not None:
-                selected, weights, failures = self._apply_group_failures(
+                selected, weights, round_events = self._apply_group_failures(
                     selected, weights
                 )
-                round_events.extend(failures)
             self.sampled_history.append(selected)
-            group_rngs = self.rng.spawn(len(selected))
             # Worker threads have their own span stacks; hand them the round
             # span's id so group spans still parent correctly. The pipeline
             # thread later parents this round's deferred evaluation here
             # too, keeping the span tree per-round under overlap.
-            round_span_id = tel.current_span_id()
-            self._last_round_span_id = round_span_id
-
-            self._train_selected(
-                selected, weights, group_rngs, round_span_id, round_events
-            )
+            self._last_round_span_id = tel.current_span_id()
+            self._train(selected, weights, round_events)
             self._meter_faults(round_events)
             self.strategy.after_global_round()
             cost = self.ledger.charge_round(
                 selected, self.config.group_rounds, self.config.local_rounds
             )
             if self.wallclock is not None:
-                extra = None
-                if round_events:
-                    extra = {}
-                    for e in round_events:
-                        if e.delay_s:
-                            extra[e.group_id] = extra.get(e.group_id, 0.0) + e.delay_s
+                delays: dict = {}
+                for e in round_events:
+                    if e.delay_s:
+                        delays[e.group_id] = delays.get(e.group_id, 0.0) + e.delay_s
                 timing = self.wallclock.round_timing(
                     selected,
                     self.ledger.client_sizes,
                     self.config.group_rounds,
                     self.config.local_rounds,
-                    extra_group_delay_s=extra,
+                    extra_group_delay_s=delays,
                 )
                 self.history.extra["wall_clock_s"].append(timing.total_s)
             self.round_idx += 1
-            if (
-                self.config.regroup_every
-                and self.round_idx % self.config.regroup_every == 0
-            ):
-                self._regroup()
+            self._regroup()
         return cost
 
-    def evaluate(self) -> tuple[float, float]:
-        """(loss, accuracy) of the current global model on the test set."""
-        self.model.set_params(self.global_params)
-        return self.model.evaluate(self.fed.test.x, self.fed.test.y)
+    def evaluate(
+        self, snapshot: tuple | None = None, model: Model | None = None
+    ) -> tuple[float, float]:
+        """(loss, accuracy) on the global test set: the mass-weighted blend
+        of a :meth:`_models` pair (``snapshot``, default the present one)
+        scored on ``model`` (default :attr:`model`)."""
+        models, masses = snapshot if snapshot is not None else self._models()
+        model = model if model is not None else self.model
+        loss = acc = 0.0
+        for params, mass in zip(models, masses):
+            if mass:
+                model.set_params(params)
+                l, a = model.evaluate(self.fed.test.x, self.fed.test.y)
+                loss += mass * l
+                acc += mass * a
+        return loss, acc
 
     # ------------------------------------------------------------ checkpointing
-    def save_checkpoint(self, path: str | os.PathLike | None = None) -> str:
+    def save_checkpoint(
+        self,
+        path: str | os.PathLike | None = None,
+        state: dict | None = None,
+        parent_id: int | None = None,
+    ) -> str:
         """Atomically write complete trainer state; returns the file path.
 
         With ``path`` the checkpoint goes exactly there; without it, the
@@ -785,15 +806,22 @@ class GroupFELTrainer:
         file by round under its directory. Either way the write is
         temp-then-rename atomic, and ``checkpoint.saves`` /
         ``checkpoint.bytes`` are recorded when telemetry is enabled.
+        ``state`` is a :func:`repro.checkpoint.capture_state` snapshot from
+        an earlier round boundary (a pipelined :meth:`run` defers only the
+        write, its span parented under ``parent_id``); default: now.
         """
         tel = self.telemetry
+        pipelined = state is not None
+        round_idx = state["round_idx"] if pipelined else self.round_idx
         meta = {
             "label": self.label,
-            "round_idx": self.round_idx,
+            "round_idx": round_idx,
             "config": config_fingerprint(self.config, grouper=self.grouper),
         }
-        with tel.span("checkpoint_save", round=self.round_idx):
-            state = capture_state(self)
+        with tel.span(
+            "checkpoint_save", parent_id=parent_id, round=round_idx, pipelined=pipelined
+        ):
+            state = state if pipelined else capture_state(self)
             if path is not None:
                 nbytes = write_checkpoint(path, state, meta=meta)
                 if tel.enabled:
@@ -805,7 +833,7 @@ class GroupFELTrainer:
                     "save_checkpoint() needs a path when the trainer has no "
                     "checkpoint_dir (and its run context no checkpoint policy)"
                 )
-            return self.checkpoint_manager.save(state, self.round_idx, meta=meta)
+            return self.checkpoint_manager.save(state, round_idx, meta=meta)
 
     def load_checkpoint(
         self, path: str | os.PathLike, strict: bool = True
@@ -853,7 +881,9 @@ class GroupFELTrainer:
             self.executor.refresh(self._group_runner())
         return self
 
-    def _record_checkpoint(self, budget: float | None, final: bool = False) -> None:
+    def _record_checkpoint(
+        self, budget, round_idx, cost, snapshot=None, final=False, parent_id=None
+    ) -> None:
         """Evaluate and record — unless the point would land past the budget.
 
         The paper's evaluations compare accuracy reached *within* a fixed
@@ -864,63 +894,38 @@ class GroupFELTrainer:
         not recorded. Degenerate case: if the very first round overshoots,
         the final checkpoint is recorded with the cost clamped to the
         budget (flagged as ``budget_clamped``) so the curve is non-empty.
+
+        ``round_idx``, ``cost`` and the :meth:`_models` ``snapshot`` are the
+        round boundary's, so the pipeline thread records later (on its own
+        model, span parented under ``parent_id``) what runs inline here.
         """
-        cost = self.ledger.total
         if budget is not None and cost > budget:
             if not (final and not self.history.rounds):
                 return
             cost = budget
             self.history.extra["budget_clamped"] = True
-        loss, acc = self.evaluate()
-        self.history.record(self.round_idx, cost, acc, loss)
+        with self.telemetry.span(
+            "evaluate", parent_id=parent_id, round=round_idx,
+            pipelined=self._pipeline is not None,
+        ):
+            loss, acc = self.evaluate(snapshot, self._eval_model)
+        self.history.record(round_idx, cost, acc, loss)
 
     # ------------------------------------------------------------ pipelining
+    def _defer(self, work, *args) -> None:
+        """Round-boundary work (a history record, a checkpoint write): run
+        inline on the synchronous schedule; pipelined, queued FIFO on the
+        background thread with the finished round's span id as parent."""
+        if self._pipeline is None:
+            return work(*args)
+        future = self._pipeline.submit(work, *args, parent_id=self._last_round_span_id)
+        self._pipeline_pending.append(future)
+
     def _drain_pipeline(self) -> None:
         """Join all in-flight pipeline work, re-raising its exceptions."""
         pending, self._pipeline_pending = self._pipeline_pending, []
         for future in pending:
             future.result()
-
-    def _pipeline_record(
-        self,
-        round_idx: int,
-        cost: float,
-        params: np.ndarray,
-        budget: float | None,
-        parent_id: int | None,
-    ) -> None:
-        """Round-t evaluation, run on the pipeline thread during round t+1.
-
-        ``cost`` and ``params`` were snapshotted at round-t's boundary, so
-        the recorded point is identical to the synchronous path's; a
-        dedicated eval model keeps ``self.model`` untouched while the main
-        thread trains. Budget-overshooting points are skipped exactly like
-        :meth:`_record_checkpoint` (the degenerate clamped-first-round case
-        is final-only and always handled synchronously after the drain).
-        """
-        if budget is not None and cost > budget:
-            return
-        if self._eval_model is None:
-            self._eval_model = self.model_fn()
-        with self.telemetry.span(
-            "evaluate", parent_id=parent_id, round=round_idx, pipelined=True
-        ):
-            self._eval_model.set_params(params)
-            loss, acc = self._eval_model.evaluate(self.fed.test.x, self.fed.test.y)
-        self.history.record(round_idx, cost, acc, loss)
-
-    def _pipeline_save(
-        self, state: dict, meta: dict, round_idx: int, parent_id: int | None
-    ) -> str:
-        """Round-t checkpoint write, run on the pipeline thread.
-
-        Only the file I/O overlaps; :func:`capture_state` already ran
-        synchronously at the round boundary (the snapshot must precede any
-        round-t+1 mutation)."""
-        with self.telemetry.span(
-            "checkpoint_save", parent_id=parent_id, round=round_idx, pipelined=True
-        ):
-            return self.checkpoint_manager.save(state, round_idx, meta=meta)
 
     def run(
         self,
@@ -955,10 +960,10 @@ class GroupFELTrainer:
         # run on this single background thread while round t+1's group
         # compute proceeds on the main thread. One worker keeps the deferred
         # work FIFO, so history points land in round order and curves are
-        # bit-identical to the synchronous path.
-        executor: ThreadPoolExecutor | None = None
+        # bit-identical to the synchronous schedule, which runs the same
+        # work inline.
         if self.config.pipeline_rounds:
-            executor = ThreadPoolExecutor(
+            self._pipeline = ThreadPoolExecutor(
                 max_workers=1, thread_name_prefix="repro-pipeline"
             )
         try:
@@ -971,51 +976,23 @@ class GroupFELTrainer:
                     self.round_idx % self.config.eval_every == 0
                     or self.round_idx >= max_rounds
                 ):
-                    if executor is not None:
-                        # Snapshot the round boundary now; the next round
-                        # rebinds global_params and charges the ledger.
-                        self._pipeline_pending.append(
-                            executor.submit(
-                                self._pipeline_record,
-                                self.round_idx,
-                                self.ledger.total,
-                                self.global_params,
-                                budget,
-                                self._last_round_span_id,
-                            )
-                        )
-                    else:
-                        self._record_checkpoint(budget)
+                    # Snapshot the round boundary now; the next round
+                    # rebinds the models and charges the ledger.
+                    self._defer(
+                        self._record_checkpoint,
+                        budget, self.round_idx, self.ledger.total, self._models(),
+                    )
                 if (
                     self.checkpoint_manager is not None
                     and self.checkpoint_manager.should_save(self.round_idx)
                 ):
-                    if executor is not None:
-                        # State capture cannot overlap training; only the
-                        # atomic file write is deferred. A deferred history
-                        # record may still be in flight — it belongs in this
-                        # checkpoint (the synchronous path records before
-                        # saving), so join it before capturing.
-                        self._drain_pipeline()
-                        meta = {
-                            "label": self.label,
-                            "round_idx": self.round_idx,
-                            "config": config_fingerprint(
-                                self.config, grouper=self.grouper
-                            ),
-                        }
-                        state = capture_state(self)
-                        self._pipeline_pending.append(
-                            executor.submit(
-                                self._pipeline_save,
-                                state,
-                                meta,
-                                self.round_idx,
-                                self._last_round_span_id,
-                            )
-                        )
-                    else:
-                        self.save_checkpoint()
+                    # A deferred history record belongs in this checkpoint
+                    # (the synchronous schedule records before saving), so
+                    # join it first. State capture cannot overlap training:
+                    # pipelined, only the atomic file write is deferred.
+                    self._drain_pipeline()
+                    state = None if self._pipeline is None else capture_state(self)
+                    self._defer(self.save_checkpoint, None, state)
                 if self.callbacks:
                     # Callbacks observe the trainer (history included); give
                     # them the fully-recorded state the serial path would.
@@ -1025,23 +1002,21 @@ class GroupFELTrainer:
                         stopped = True
             self._drain_pipeline()
         finally:
-            if executor is not None:
-                executor.shutdown(wait=True)
-                # Surface any async failure even on an exceptional exit —
-                # without masking an exception already in flight.
-                pending, self._pipeline_pending = self._pipeline_pending, []
-                for future in pending:
-                    try:
-                        future.result()
-                    except Exception:
-                        pass
+            if self._pipeline is not None:
+                # An exceptional exit drops what the worker left unjoined
+                # rather than mask the exception already in flight.
+                self._pipeline.shutdown(wait=True)
+                self._pipeline = None
+                self._pipeline_pending = []
         if budget is not None and self.ledger.total >= budget:
             self.history.extra["budget_exhausted"] = True
             self.history.extra["budget_overshoot"] = max(
                 0.0, self.ledger.total - budget
             )
         if not self.history.rounds or self.history.rounds[-1] != self.round_idx:
-            self._record_checkpoint(budget, final=True)
+            self._record_checkpoint(
+                budget, self.round_idx, self.ledger.total, final=True
+            )
         if (
             self.checkpoint_manager is not None
             and self.checkpoint_manager.last_saved_round != self.round_idx

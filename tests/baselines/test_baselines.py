@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from repro.baselines import METHODS, FedCLARTrainer, build_method
-from repro.core import TrainerConfig
-from repro.data import ColumnarPopulation
+from repro.core import Callback, ScaffoldStrategy, TrainerConfig
 from repro.costs import paper_cost_model
+from repro.costs.wallclock import WallClockSimulator
+from repro.data import ColumnarPopulation, FederatedDataset, SyntheticImage
 from repro.grouping import (
     CDGGrouping,
     CoVGrouping,
@@ -15,6 +16,7 @@ from repro.grouping import (
     group_clients_per_edge,
 )
 from repro.nn import make_mlp
+from repro.topology import CommModel, HierarchicalTopology
 
 
 def cfg(**kw):
@@ -155,3 +157,139 @@ class TestFedCLAR:
             FedCLARTrainer(MODEL_FN, small_fed, groups, cfg(), cluster_round=0)
         with pytest.raises(ValueError):
             FedCLARTrainer(MODEL_FN, small_fed, groups, cfg(), num_clusters=1)
+
+
+def fresh_fed() -> FederatedDataset:
+    """A private 16-client store: drift relabels shards in place."""
+    train, test = SyntheticImage(noise_std=2.0, seed=0).train_test(2_000, 300)
+    return FederatedDataset.from_dataset(
+        train, test, num_clients=16, alpha=0.1, size_low=15, size_high=50,
+        rng=11,
+    )
+
+
+class Probe(Callback):
+    """Records ``probe(trainer)`` at every round end."""
+
+    def __init__(self, probe):
+        self.probe = probe
+        self.seen = []
+
+    def on_round_end(self, trainer, round_idx):
+        self.seen.append(self.probe(trainer))
+        return False
+
+
+def fedclar(fed, *, faults=None, population=None, strategy=None,
+            wallclock=False, callbacks=None):
+    """A 5-round FedCLAR run that clusters at round 2."""
+    topo = HierarchicalTopology(fed.num_clients, 2)
+    edges = topo.edge_assignment()
+    grouper = RandomGrouping(3)
+    groups = group_clients_per_edge(grouper, fed.L, edges, rng=0)
+    cost_model = paper_cost_model("cifar")
+    clock = None
+    if wallclock:
+        comm = CommModel.for_model(topo, num_params=MODEL_FN().num_params)
+        clock = WallClockSimulator(topo, cost_model, comm)
+    return FedCLARTrainer(
+        MODEL_FN, fed, groups,
+        cfg(max_rounds=5, faults=faults, population=population),
+        cost_model=cost_model, strategy=strategy, grouper=grouper,
+        edge_assignment=edges, wallclock=clock, callbacks=callbacks,
+        cluster_round=2, num_clusters=3,
+    )
+
+
+class TestFedCLARRoundLoop:
+    """Cluster rounds are the base trainer's round with a substituted
+    select stage, so everything a round does continues past clustering."""
+
+    @pytest.fixture(scope="class")
+    def everything(self):
+        pending = Probe(lambda t: len(t.strategy._pending_deltas))
+        trainer = fedclar(
+            fresh_fed(), faults="straggler:0.3:2.0", population="drift:0.5:0.3",
+            strategy=ScaffoldStrategy(), wallclock=True, callbacks=[pending],
+        )
+        trainer.run()
+        return trainer, pending.seen
+
+    def test_every_round_is_recorded(self, everything):
+        trainer, _ = everything
+        extra = trainer.history.extra
+        for series in ("population_active", "wall_clock_s", "fault_delay_s"):
+            assert len(extra[series]) == 5, series
+        assert len(trainer.sampled_history) == 5
+        # Rounds 2-4 train the cluster groups, all of them.
+        for selected in trainer.sampled_history[2:]:
+            assert {g.group_id for g in selected} == set(trainer.cluster_groups)
+
+    def test_population_keeps_stepping(self, everything):
+        trainer, _ = everything
+        drift_rounds = {
+            e.round for e in trainer.population_trace.events if e.kind == "drift"
+        }
+        assert {2, 3, 4} <= drift_rounds
+
+    def test_scaffold_deltas_folded_every_round(self, everything):
+        _, pending = everything
+        assert pending == [0] * 5
+
+    def test_group_failure_fails_cluster_groups(self):
+        trainer = fedclar(fresh_fed(), faults="groupfail:0.5")
+        trainer.run()
+        plan = trainer.fault_plan
+        failed_any = False
+        for t in range(2, 5):
+            ids = sorted(trainer.cluster_groups)
+            draws = np.array([plan.group_failure_draw(t, c) for c in ids])
+            alive = draws >= 0.0
+            if not alive.any():
+                alive[int(np.argmax(draws))] = True
+            failed = {
+                e.group_id for e in trainer.fault_trace.events
+                if e.kind == "group_failure" and e.round == t
+            }
+            assert failed == {c for c, a in zip(ids, alive) if not a}
+            survivors = {g.group_id for g in trainer.sampled_history[t]}
+            assert survivors == {c for c, a in zip(ids, alive) if a}
+            failed_any |= bool(failed)
+        assert failed_any
+
+    def test_clusters_only_active_clients(self):
+        def snapshot(t):
+            cc = t.client_cluster
+            return t.population_engine.active.copy(), None if cc is None else cc >= 0
+
+        probe = Probe(snapshot)
+        trainer = fedclar(
+            fresh_fed(), population="start:0.5,join:1.0,leave:0.1",
+            callbacks=[probe],
+        )
+        trainer.run()
+        # Clustering ran at the end of round 1, over that round's actives.
+        active_then, clustered = probe.seen[1]
+        assert np.array_equal(clustered, active_then)
+        assert not clustered.all()
+        # Departures left their cluster for good; arrivals joined none.
+        active = trainer.population_engine.active
+        in_cluster = trainer.client_cluster >= 0
+        assert not (in_cluster & ~(clustered & active)).any()
+        ever_out = ~np.logical_and.reduce([a for a, _ in probe.seen[1:]])
+        assert (clustered & ever_out).any() and not (in_cluster & ever_out).any()
+        members = np.concatenate(
+            [g.members for g in trainer.cluster_groups.values()]
+        )
+        assert np.array_equal(np.sort(members), np.flatnonzero(in_cluster))
+        for selected in trainer.sampled_history[2:]:
+            for g in selected:
+                assert clustered[g.members].all()
+
+    def test_rejects_adaptive_sampling(self, small_fed, small_edges):
+        groups = group_clients_per_edge(
+            RandomGrouping(3), small_fed.L, small_edges, rng=0
+        )
+        with pytest.raises(ValueError, match="adaptive"):
+            FedCLARTrainer(MODEL_FN, small_fed, groups,
+                           cfg(sampling_method="adaptive"))

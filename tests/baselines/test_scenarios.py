@@ -191,14 +191,6 @@ class TestIFCA:
         finally:
             trainer.close()
 
-    def test_pipeline_rounds_forced_off(self):
-        fed = _fresh_fed()
-        trainer = _build("ifca", fed=fed, cfg=_cfg(pipeline_rounds=True))
-        try:
-            assert trainer.config.pipeline_rounds is False
-        finally:
-            trainer.close()
-
 
 # -------------------------------------------- faults / churn composability
 class TestScenarioFaults:

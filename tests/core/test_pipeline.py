@@ -24,9 +24,10 @@ import threading
 import numpy as np
 import pytest
 
+from repro.baselines import FedCLARTrainer, IFCATrainer
 from repro.checkpoint import read_checkpoint
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
-from repro.grouping import CoVGrouping, group_clients_per_edge
+from repro.grouping import CoVGrouping, RandomGrouping, group_clients_per_edge
 from repro.nn import make_mlp
 from repro.secure.masking import _SEED_TABLE_CACHE, pairwise_seed_table
 from repro.telemetry import Telemetry
@@ -107,10 +108,15 @@ class TestPipelineSpanTree:
                 f"{s.parent_id}, expected round span {want_parent}"
             )
 
-    def test_sync_run_has_no_pipelined_spans(self, small_fed, small_edges):
+    def test_sync_run_evaluates_inline(self, small_fed, small_edges):
+        """The synchronous schedule runs the same record work inline: its
+        evaluate spans are not pipelined and open outside any round."""
         tel = Telemetry(label="sync")
         _run(small_fed, small_edges, pipeline=False, telemetry=tel)
-        assert not [s for s in tel.tracer.spans() if s.name == "evaluate"]
+        evals = [s for s in tel.tracer.spans() if s.name == "evaluate"]
+        assert len(evals) == 3
+        assert all(s.attrs["pipelined"] is False for s in evals)
+        assert all(s.parent_id is None for s in evals)
 
 
 class TestPipelineCheckpoints:
@@ -149,6 +155,61 @@ class TestPipelineCheckpoints:
             resumed.close()
 
 
+class TestPipelineClustered:
+    """IFCA and FedCLAR run the one round loop, so their blended
+    evaluation and extra checkpoint state pipeline like the base
+    trainer's: every output, checkpoint files included, is identical."""
+
+    TRAINERS = {
+        "ifca": (IFCATrainer, {"num_clusters": 3}),
+        "fedclar": (FedCLARTrainer, {"cluster_round": 2, "num_clusters": 3}),
+    }
+
+    def _run(self, small_fed, small_edges, kind, backend, pipeline, ckpt_dir):
+        groups = group_clients_per_edge(
+            RandomGrouping(3), small_fed.L, small_edges, rng=0
+        )
+        cfg = TrainerConfig(
+            max_rounds=4, group_rounds=1, local_rounds=1, num_sampled=3,
+            momentum=0.9, seed=5, parallel_backend=backend,
+            pipeline_rounds=pipeline, checkpoint_every=1,
+        )
+        cls, kwargs = self.TRAINERS[kind]
+        trainer = cls(
+            model_fn, small_fed, groups, cfg, checkpoint_dir=ckpt_dir, **kwargs
+        )
+        try:
+            history = trainer.run()
+            models = (
+                trainer.center_models if kind == "ifca"
+                else list(trainer.cluster_models.values())
+            )
+            files = {p.name: p.read_bytes() for p in sorted(ckpt_dir.iterdir())}
+            return trainer.global_params, history.state_dict(), models, files
+        finally:
+            trainer.close()
+
+    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("kind", ["ifca", "fedclar"])
+    def test_pipelined_equals_synchronous(
+        self, small_fed, small_edges, tmp_path, kind, backend
+    ):
+        params_s, hist_s, models_s, files_s = self._run(
+            small_fed, small_edges, kind, backend, False, tmp_path / "sync"
+        )
+        params_p, hist_p, models_p, files_p = self._run(
+            small_fed, small_edges, kind, backend, True, tmp_path / "pipe"
+        )
+        assert np.array_equal(params_s, params_p)
+        assert hist_s == hist_p
+        assert len(models_s) == len(models_p) == 3
+        for a, b in zip(models_s, models_p):
+            assert np.array_equal(a, b)
+        assert files_s.keys() == files_p.keys() and len(files_s) == 4
+        for name in files_s:
+            assert files_s[name] == files_p[name], f"checkpoint {name} diverged"
+
+
 class TestPipelineErrors:
     def test_async_exception_surfaces_from_run(self, small_fed, small_edges):
         groups = group_clients_per_edge(
@@ -163,7 +224,8 @@ class TestPipelineErrors:
         def boom(*args, **kwargs):
             raise RuntimeError("pipeline boom")
 
-        trainer._pipeline_record = boom
+        # Deferred records evaluate on the pipeline thread.
+        trainer.evaluate = boom
         try:
             with pytest.raises(RuntimeError, match="pipeline boom"):
                 trainer.run()

@@ -58,3 +58,35 @@ def test_no_other_module_keeps_ambient_globals():
             if isinstance(node, ast.Global):
                 found.setdefault(str(path.relative_to(SRC)), set()).update(node.names)
     assert found == GLOBAL_ALLOWED
+
+
+#: a trainer's round loop and what drives it: subclasses substitute its
+#: stages (select, route, models, regroup), never the loop itself
+ROUND_LOOP = {"train_round", "_train_selected", "evaluate", "run"}
+
+
+def test_one_round_loop_for_every_trainer():
+    """Only ``GroupFELTrainer`` defines the round loop, and no trainer
+    subclass reads or overrides ``pipeline_rounds``: clustered trainers
+    pipeline like the base one."""
+    loops, pipeline_reads = set(), set()
+    for path in sorted(SRC.rglob("*.py")):
+        module = str(path.relative_to(SRC))
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not (isinstance(cls, ast.ClassDef) and cls.name.endswith("Trainer")):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef) and node.name in ROUND_LOOP:
+                    loops.add((module, cls.name, node.name))
+            if cls.name == "GroupFELTrainer":
+                continue
+            for node in ast.walk(cls):
+                if "pipeline_rounds" in (
+                    getattr(node, "attr", None), getattr(node, "arg", None)
+                ):
+                    pipeline_reads.add((module, cls.name))
+    assert loops == {
+        ("core/trainer.py", "GroupFELTrainer", name)
+        for name in ROUND_LOOP - {"_train_selected"}
+    }
+    assert not pipeline_reads
