@@ -15,7 +15,7 @@ __all__ = ["Group", "Grouper", "group_clients_per_edge"]
 def non_count_mask(counts: np.ndarray) -> np.ndarray:
     """True where an entry is not a non-negative integer (NaN and ±inf
     included); integral floats count as integers."""
-    if np.issubdtype(counts.dtype, np.integer):
+    if counts.dtype.kind in "iu":  # np.issubdtype(…, np.integer), cheaper
         return counts < 0
     return ~np.isfinite(counts) | (counts < 0) | (counts != np.floor(counts))
 
@@ -94,6 +94,26 @@ class Grouper:
     ) -> list[Group]:
         raise NotImplementedError
 
+    def group_edges(
+        self,
+        label_matrix: np.ndarray,
+        edge_ids_lists: list[np.ndarray],
+        rngs: list[np.random.Generator],
+        edge_ids=None,
+    ) -> list[list[Group]]:
+        """Partition several edges: one group list per entry of
+        ``edge_ids_lists`` (that edge's client ids, rows of the full
+        ``label_matrix``), formed with the matching generator of ``rngs``
+        and tagged with the matching ``edge_ids`` entry (default: the
+        position). This default runs :meth:`group` edge by edge."""
+        if edge_ids is None:
+            edge_ids = range(len(edge_ids_lists))
+        out = []
+        for clients, rng, edge_id in zip(edge_ids_lists, rngs, edge_ids):
+            clients = np.asarray(clients, dtype=np.int64)
+            out.append(self.group(label_matrix[clients], clients, edge_id=edge_id, rng=rng))
+        return out
+
     @staticmethod
     def _build_groups(
         partitions: list[list[int]],
@@ -133,13 +153,8 @@ def group_clients_per_edge(
     """
     rng = make_rng(rng)
     child_rngs = spawn_many(rng, len(edge_assignment))
-    all_groups: list[Group] = []
-    for edge_id, (clients, child) in enumerate(zip(edge_assignment, child_rngs)):
-        clients = np.asarray(clients, dtype=np.int64)
-        groups = grouper.group(
-            label_matrix[clients], clients, edge_id=edge_id, rng=child
-        )
-        all_groups.extend(groups)
+    per_edge = grouper.group_edges(label_matrix, edge_assignment, child_rngs)
+    all_groups = [group for groups in per_edge for group in groups]
     for gid, group in enumerate(all_groups):
         group.group_id = gid
     return all_groups

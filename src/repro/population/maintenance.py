@@ -42,7 +42,7 @@ import numpy as np
 from repro.grouping.base import Group, Grouper
 from repro.grouping.cov import cov_of_counts, cov_paper_eq27
 from repro.population.trace import PopulationEvent
-from repro.rng import make_rng, spawn, spawn_many
+from repro.rng import make_rng, spawn_many
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
 __all__ = ["OnlineGroupMaintainer"]
@@ -325,7 +325,6 @@ class OnlineGroupMaintainer:
         groups (recorded as migrations), or stay one leftover group when
         the edge has no survivor.
         """
-        mgs = self.min_group_size
         tel = self.telemetry
         pool_by_edge: dict[int, list[int]] = defaultdict(list)
         for g in degraded:
@@ -333,18 +332,15 @@ class OnlineGroupMaintainer:
             for cid in g.members.tolist():
                 self.group_of.pop(cid)
             self._groups.remove(g)
-        rng = make_rng(rng)
-        for edge in sorted(pool_by_edge):
-            ids = sorted(pool_by_edge[edge])
-            child = spawn(rng)
-            if len(ids) >= mgs:
-                formed = self.grouper.group(
-                    self.L[np.array(ids, dtype=np.int64)],
-                    np.array(ids, dtype=np.int64),
-                    edge_id=edge,
-                    rng=child,
-                )
-                self._adopt(formed)
+        pools = {edge: sorted(pool_by_edge[edge]) for edge in sorted(pool_by_edge)}
+        # One child per pool edge in sorted order. Every regrouped edge is
+        # formed first, then adopted in that order, so a later edge's
+        # migrations see the same group positions.
+        children = dict(zip(pools, spawn_many(make_rng(rng), len(pools))))
+        formed = self._form_edges(pools, children)
+        for edge, ids in pools.items():
+            if edge in formed:
+                self._adopt(formed[edge])
                 if record is not None:
                     record(
                         PopulationEvent(
@@ -383,7 +379,8 @@ class OnlineGroupMaintainer:
         """From-scratch per-edge re-partition of the maintained clients.
 
         Mirrors :func:`repro.grouping.group_clients_per_edge` exactly — one
-        spawned child RNG per pool edge, ascending client order — so when
+        spawned child RNG per pool edge, ascending client order, every
+        edge formed by one ``group_edges`` call — so when
         every edge's active count meets MinGS the result is bit-identical
         to a fresh formation over the same label matrix. Edges below the
         floor keep their clients as one leftover group (a fresh formation
@@ -396,23 +393,24 @@ class OnlineGroupMaintainer:
         by_edge: dict[int, list[int]] = defaultdict(list)
         for cid in sorted(int(c) for c in active_ids):
             by_edge[int(self.edge_of_client[cid])].append(cid)
+        formed = self._form_edges(by_edge, children)
         self._groups = []
         self._dirty = set()
         self.group_of = {}
         for edge in range(self.num_edges):
-            ids = by_edge.get(edge, [])
-            if not ids:
-                continue
-            if len(ids) < self.min_group_size:
-                self._leftover(edge, ids)
-            else:
-                formed = self.grouper.group(
-                    self.L[np.array(ids, dtype=np.int64)],
-                    np.array(ids, dtype=np.int64),
-                    edge_id=edge,
-                    rng=children[edge],
-                )
-                self._adopt(formed)
+            if edge in formed:
+                self._adopt(formed[edge])
+            elif by_edge[edge]:
+                self._leftover(edge, by_edge[edge])
+
+    def _form_edges(self, pools, children) -> dict[int, list[Group]]:
+        """Form every edge whose pool meets MinGS in one
+        ``grouper.group_edges`` call, each with its own child generator."""
+        edges = sorted(e for e, ids in pools.items() if len(ids) >= self.min_group_size)
+        per_edge = self.grouper.group_edges(
+            self.L, [pools[e] for e in edges], [children[e] for e in edges], edges
+        )
+        return dict(zip(edges, per_edge))
 
     def _adopt(self, formed: list[Group]) -> None:
         """Take ownership of freshly formed Groups (clean)."""

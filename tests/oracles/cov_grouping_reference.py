@@ -4,8 +4,9 @@ Every greedy step rebuilds the (remaining × classes) candidate count
 matrix ``counts + L[remaining]``, re-derives every candidate's score with
 :func:`cov_of_counts` / :func:`cov_paper_eq27`, and ``np.delete``-copies
 the remaining index array. :class:`ReferenceCoVGrouping` swaps only this
-partition step into :class:`~repro.grouping.CoVGrouping`; input checks,
-the undersized-leftover repair and ``Group`` construction are shared, so a
+partition step into :class:`~repro.grouping.CoVGrouping` — one edge at a
+time, with that edge's own generator; input checks, the
+undersized-leftover repair and ``Group`` construction are shared, so a
 differential test compares the two partition engines and nothing else.
 """
 
@@ -21,7 +22,10 @@ __all__ = ["ReferenceCoVGrouping"]
 class ReferenceCoVGrouping(CoVGrouping):
     """``CoVGrouping`` with the direct transcription as its partition step."""
 
-    def _partition(self, L: np.ndarray, rng: np.random.Generator) -> list[list[int]]:
+    def _partition_block(self, Ls, rngs) -> list[list[list[int]]]:
+        return [self._transcribe(np.asarray(L, dtype=np.float64), rng) for L, rng in zip(Ls, rngs)]
+
+    def _transcribe(self, L: np.ndarray, rng: np.random.Generator) -> list[list[int]]:
         metric = self._metric_fn
         remaining = np.arange(L.shape[0])
         partitions: list[list[int]] = []
