@@ -20,8 +20,6 @@ set.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from repro.core.client import run_local_rounds
 from repro.core.trainer import GroupFELTrainer
@@ -87,6 +85,10 @@ class FedCLARTrainer(GroupFELTrainer):
 
     def _cluster_clients(self) -> None:
         """Cluster the active clients by local-update cosine similarity."""
+        # SciPy's clustering loads at first use: most runs never cluster.
+        from scipy.cluster.hierarchy import fcluster, linkage
+        from scipy.spatial.distance import squareform
+
         ids = np.flatnonzero(self._active())
         updates = np.empty((ids.size, self.global_params.shape[0]))
         rng = self.rng.spawn(1)[0]

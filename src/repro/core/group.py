@@ -377,6 +377,8 @@ def run_group_round(
                 vectors = report.filtered
 
             # ---- 6. aggregation --------------------------------------------
+            # Pair masks are keyed by (group round, group id): groups of one
+            # round never share masks.
             sid = round_id * group_rounds + k
             if recovering:
                 # Real recovery: reconstruct the dropped clients' masks from
@@ -390,6 +392,7 @@ def run_group_round(
                         scaled,
                         dropped=np.flatnonzero(np.isin(uploaders, lost)),
                         round_id=sid,
+                        session=gid,
                         rng=rng,
                     )
                 record("secagg_recovery", k, None, retries=res.reconstructed_pairs)
@@ -397,7 +400,7 @@ def run_group_round(
             elif secure_aggregator is not None:
                 with tel.span("secagg", k=k, clients=len(weights)):
                     group_params = group_params + secure_aggregator.aggregate_weighted(
-                        vectors, weights, round_id=sid
+                        vectors, weights, round_id=sid, session=gid
                     )
             else:
                 with tel.span("aggregate", k=k):

@@ -181,8 +181,10 @@ class ColumnarPopulation:
         """A metadata-only population at arbitrary scale (no sample data).
 
         Dirichlet(α) per-client label skew with Poissonized per-class
-        counts — fully vectorized, so 10⁶ clients build in well under a
-        second. Every client ends up with ≥ 1 sample.
+        counts, vectorized over all clients. Every client ends up with
+        ≥ 1 sample. At 10⁶ clients × 20 classes the build takes about 3 s
+        and peaks at 530–575 MB RSS on a 2-core Xeon: five full |K| × m
+        arrays are live in turn.
         """
         if num_clients < 1:
             raise ValueError(f"num_clients must be >= 1, got {num_clients}")

@@ -10,7 +10,6 @@ group formation (as the paper does for its experiments, §7.1).
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.grouping.base import Group, Grouper
 from repro.rng import make_rng
@@ -56,6 +55,9 @@ class CDGGrouping(Grouper):
         totals = L.sum(axis=1, keepdims=True)
         dist = np.divide(L, totals, out=np.zeros_like(L), where=totals > 0)
         if n > k:
+            # SciPy's clustering loads at first use: most runs never cluster.
+            from scipy.cluster.vq import kmeans2
+
             seed = int(rng.integers(0, 2**31 - 1))
             _, assignment = kmeans2(dist, k, minit="++", seed=seed)
         else:

@@ -14,7 +14,6 @@ clients together, so each group specializes.
 from __future__ import annotations
 
 import numpy as np
-from scipy.cluster.vq import kmeans2
 
 from repro.grouping.base import Group, Grouper
 from repro.rng import make_rng
@@ -95,6 +94,9 @@ class FedGroupGrouping(Grouper):
         features = decomposed_cosine_features(
             dist, self.num_components or num_groups
         )
+        # SciPy's clustering loads at first use: most runs never cluster.
+        from scipy.cluster.vq import kmeans2
+
         seed = int(rng.integers(0, 2**31 - 1))
         _, assignment = kmeans2(features, num_groups, minit="++", seed=seed)
         partitions = [

@@ -13,8 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.cluster.hierarchy import fcluster, linkage
-from scipy.spatial.distance import squareform
 
 from repro.rng import make_rng
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
@@ -117,6 +115,10 @@ class BackdoorDetector:
             admitted = np.array([0])
             flagged = np.array([], dtype=np.int64)
         else:
+            # SciPy's clustering loads at first use: most runs never cluster.
+            from scipy.cluster.hierarchy import fcluster, linkage
+            from scipy.spatial.distance import squareform
+
             dist = self.cosine_distance_matrix(updates)
             condensed = squareform(dist, checks=False)
             tree = linkage(condensed, method="average")
@@ -160,6 +162,9 @@ class BackdoorDetector:
         An attack-free group splits into two similarly-loose halves and is
         admitted wholesale.
         """
+        # SciPy's clustering loads at first use: most runs never cluster.
+        from scipy.cluster.hierarchy import fcluster
+
         labels = fcluster(tree, t=2, criterion="maxclust")
         counts = np.bincount(labels)
         majority = int(np.argmax(counts))

@@ -24,10 +24,10 @@ Two implementations coexist:
   element-for-element (``tests/secure/test_masking_batched.py`` pins the
   equivalence), so masked vectors and ring sums do not change.
 
-Seed tables are cached per (session, round, group size) — every group
-round re-derives the same table for its aggregation calls, and in the
+Seed tables are cached per (session, round, group size) — in the
 simulator pair identity is positional (local client indices 0..s−1), so
-the table depends on nothing else.
+the table depends on nothing else. A training run uses the group id as
+the session, so no two groups of one round share masks.
 """
 
 from __future__ import annotations
@@ -176,7 +176,7 @@ def pairwise_seed_table(
     k — derived in one vectorized SeedSequence pass over all Θ(s²) pairs.
     Tables are memoized (capacity-bounded, thread-safe) on
     (session, round, group size): the simulator addresses clients by local
-    index, so equal-sized groups in the same round share one table.
+    index, so nothing else enters the table.
     """
     key = (int(session), int(round_id), int(num_clients))
     with _SEED_TABLE_LOCK:

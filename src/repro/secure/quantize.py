@@ -35,10 +35,16 @@ class FixedPointCodec:
         self.clip = float(clip)
 
     def encode(self, vec: np.ndarray) -> np.ndarray:
-        """float64 -> uint64 ring elements (two's-complement embedding)."""
-        clipped = np.clip(vec, -self.clip, self.clip)
-        ints = np.rint(clipped * self.scale).astype(np.int64)
-        return ints.view(np.uint64)
+        """float64 -> uint64 ring elements (two's-complement embedding).
+
+        One float64 copy is clipped, scaled and rounded in place; the int64
+        cast is the only other array.
+        """
+        buf = np.array(vec, dtype=np.float64)
+        np.clip(buf, -self.clip, self.clip, out=buf)
+        np.multiply(buf, self.scale, out=buf)
+        np.rint(buf, out=buf)
+        return buf.astype(np.int64).view(np.uint64)
 
     def decode(self, ring: np.ndarray, count: int = 1) -> np.ndarray:
         """uint64 ring elements -> float64.

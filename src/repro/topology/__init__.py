@@ -1,7 +1,7 @@
 """Cloud–edge–client hierarchy (Fig. 1) and communication accounting.
 
 The hierarchy assigns clients to edge servers (Algorithm 1's client sets
-C_j), builds a NetworkX graph with per-link latency/bandwidth, and costs
+C_j), carries per-link latency/bandwidth, and costs
 the message flows of one global round: global-model download, per-group-
 round local uploads + group-model distribution at the edge, and the final
 group-model upload to the cloud.

@@ -22,10 +22,6 @@ class Client:
     num_samples: int = 0
     compute_factor: float = 1.0
 
-    @property
-    def node_name(self) -> str:
-        return f"client:{self.client_id}"
-
 
 @dataclass
 class EdgeServer:
@@ -41,17 +37,9 @@ class EdgeServer:
     def num_clients(self) -> int:
         return int(self.client_ids.size)
 
-    @property
-    def node_name(self) -> str:
-        return f"edge:{self.edge_id}"
-
 
 @dataclass
 class Cloud:
     """The cloud parameter server performing group sampling + global aggregation."""
 
     name: str = "cloud"
-
-    @property
-    def node_name(self) -> str:
-        return self.name

@@ -1,13 +1,11 @@
-"""NetworkX model of the cloud–edge–client graph."""
+"""The cloud–edge–client hierarchy of Fig. 1 and its link parameters."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
 
-from repro.rng import make_rng
 from repro.topology.entities import Client, Cloud, EdgeServer
 
 __all__ = ["LinkParams", "HierarchicalTopology"]
@@ -90,28 +88,6 @@ class HierarchicalTopology:
         self.clients = [
             Client(client_id=i, edge_id=int(assignment[i])) for i in range(num_clients)
         ]
-        self.graph = self._build_graph()
-
-    def _build_graph(self) -> nx.Graph:
-        g = nx.Graph()
-        g.add_node(self.cloud.node_name, tier="cloud")
-        for edge in self.edges:
-            g.add_node(edge.node_name, tier="edge")
-            g.add_edge(
-                self.cloud.node_name,
-                edge.node_name,
-                latency_s=self.edge_cloud.latency_s,
-                bandwidth_bps=self.edge_cloud.bandwidth_bps,
-            )
-        for client in self.clients:
-            g.add_node(client.node_name, tier="client")
-            g.add_edge(
-                f"edge:{client.edge_id}",
-                client.node_name,
-                latency_s=self.client_edge.latency_s,
-                bandwidth_bps=self.client_edge.bandwidth_bps,
-            )
-        return g
 
     def edge_assignment(self) -> list[np.ndarray]:
         """Client-id arrays per edge — the C_j inputs of Algorithm 1."""
@@ -123,8 +99,10 @@ class HierarchicalTopology:
 
     @property
     def diameter_hops(self) -> int:
-        """Graph diameter in hops (client -> edge -> cloud -> edge -> client = 4)."""
-        return nx.diameter(self.graph)
+        """Diameter of the two-tier tree in hops: client -> edge -> cloud ->
+        edge -> client = 4 with two or more edges, client -> edge -> client
+        = 2 with one (every edge serves at least one client)."""
+        return 4 if self.num_edges >= 2 else 2
 
     def __repr__(self) -> str:
         return (

@@ -124,6 +124,28 @@ class TestRunGroupRound:
                                  rng=3, secure_aggregator=SecureAggregator())
         assert np.allclose(plain, secure, atol=1e-4)
 
+    def test_same_size_groups_get_different_masks(self, setting):
+        """Two groups sampled in one round mask under their own group ids:
+        equal pair masks would leak the difference of their updates."""
+        fed, model, opt = setting
+        masks = []
+
+        class Recording(SecureAggregator):
+            def aggregate(self, vectors, round_id=0, session=0):
+                res = super().aggregate(vectors, round_id, session)
+                masks.append(res.masked_inputs - self.codec.encode(vectors))
+                return res
+
+        gp = model.get_params().copy()
+        for gid, members in enumerate([[0, 1, 2], [3, 4, 5]]):
+            group = Group(gid, 0, np.asarray(members), fed.L[members].sum(axis=0))
+            run_group_round(model, opt, group, fed.clients, gp, 1, 1, 16, rng=3,
+                            secure_aggregator=Recording(), round_id=0)
+        first, second = masks
+        assert not (first == second).all(axis=1).any()
+        for mask in masks:  # each group's masks still cancel in the ring
+            assert not mask.sum(axis=0, dtype=np.uint64).any()
+
     def test_backdoor_defense_path_runs(self, setting):
         fed, model, opt = setting
         group = self.make_group(fed, [0, 1, 2, 3])

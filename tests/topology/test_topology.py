@@ -1,6 +1,5 @@
 """Tests for the cloud-edge-client topology and communication model."""
 
-import networkx as nx
 import numpy as np
 import pytest
 
@@ -31,17 +30,14 @@ class TestHierarchicalTopology:
         assert topo.edges[0].client_ids.tolist() == [0, 1]
         assert topo.edges[1].client_ids.tolist() == [2, 3, 4]
 
-    def test_graph_structure(self):
-        topo = HierarchicalTopology(6, 2)
-        g = topo.graph
-        assert g.number_of_nodes() == 1 + 2 + 6
-        assert g.number_of_edges() == 2 + 6
-        assert nx.is_connected(g)
-
-    def test_diameter_is_four(self):
-        """client -> edge -> cloud -> edge -> client."""
-        topo = HierarchicalTopology(6, 2)
-        assert topo.diameter_hops == 4
+    @pytest.mark.parametrize(
+        "num_clients, num_edges, hops",
+        [(1, 1, 2), (6, 1, 2), (6, 2, 4), (9, 3, 4), (50, 7, 4)],
+        ids=["one-client", "one-edge", "two-edges", "three-edges", "seven-edges"],
+    )
+    def test_diameter_is_four(self, num_clients, num_edges, hops):
+        """client -> edge -> cloud -> edge -> client; one edge: client -> edge -> client."""
+        assert HierarchicalTopology(num_clients, num_edges).diameter_hops == hops
 
     def test_edge_of(self):
         topo = HierarchicalTopology(6, 2)
