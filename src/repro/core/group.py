@@ -58,7 +58,7 @@ def resolve_engine(
     if engine == "batched":
         if not supports_batched_training(model):
             raise ValueError(
-                "engine='batched' requires a Dense/ReLU/LeakyReLU model; "
+                "engine='batched' requires a Dense/ReLU model; "
                 "use engine='auto' or 'reference' for other architectures"
             )
         return True

@@ -11,6 +11,9 @@ Design notes
 * Non-trainable state (BatchNorm running statistics) lives in the same flat
   vector (FedAvg-style averaging applies to it) but is masked out of
   optimizer updates via ``trainable_mask``.
+* Training minimizes softmax cross-entropy, the one loss: the per-client
+  ``Model.loss_and_grad`` and the batched engine (``repro.nn.batched``)
+  both compute it, so they cannot disagree on the objective.
 """
 
 from repro.nn.functional import (
@@ -21,7 +24,6 @@ from repro.nn.functional import (
     softmax,
 )
 from repro.nn.layers import (
-    BatchNorm1d,
     BatchNorm2d,
     Conv1d,
     Conv2d,
@@ -31,17 +33,16 @@ from repro.nn.layers import (
     GlobalAvgPool1d,
     GlobalAvgPool2d,
     Layer,
-    LeakyReLU,
     MaxPool1d,
     MaxPool2d,
     ReLU,
 )
 from repro.nn.extra_layers import AvgPool1d, AvgPool2d, LayerNorm
-from repro.nn.losses import CrossEntropyLoss, Loss, MSELoss
+from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Model, Sequential
 from repro.nn.resnet import ResidualBlock, ResNetLite, make_resnet_lite
 from repro.nn.audio_cnn import AudioCNN, make_audio_cnn
-from repro.nn.mlp import MLP, SoftmaxRegression, make_mlp
+from repro.nn.mlp import MLP, make_mlp
 from repro.nn.optim import SGD, ConstantLR, CosineLR, LRSchedule, StepLR
 from repro.nn.adam import Adam, clip_gradients
 from repro.nn.serialization import load_model, model_signature, save_model
@@ -57,21 +58,17 @@ __all__ = [
     "Conv1d",
     "Conv2d",
     "ReLU",
-    "LeakyReLU",
     "Dropout",
     "Flatten",
     "MaxPool1d",
     "MaxPool2d",
     "GlobalAvgPool1d",
     "GlobalAvgPool2d",
-    "BatchNorm1d",
     "BatchNorm2d",
     "LayerNorm",
     "AvgPool2d",
     "AvgPool1d",
-    "Loss",
     "CrossEntropyLoss",
-    "MSELoss",
     "Model",
     "Sequential",
     "ResidualBlock",
@@ -80,7 +77,6 @@ __all__ = [
     "AudioCNN",
     "make_audio_cnn",
     "MLP",
-    "SoftmaxRegression",
     "make_mlp",
     "SGD",
     "Adam",

@@ -9,9 +9,9 @@ into array programs over one flat ``(B, P)`` parameter matrix:
 * forward/backward become stacked GEMMs — ``np.matmul`` over ``(B, n, in) @
   (B, in, out)`` runs the same per-slice dgemm the per-client loop runs,
   so results are **bit-identical**, not merely close;
-* the SGD update (momentum, weight decay, trainable-mask, LR schedule) is
-  one fused set of elementwise ops over ``(B, P)`` instead of B separate
-  scratch-buffer round trips;
+* the SGD update (momentum, weight decay, LR schedule) is one fused set
+  of elementwise ops over ``(B, P)`` instead of B separate scratch-buffer
+  round trips;
 * minibatches are drawn through the *same* :meth:`ClientDataset.batches` /
   :meth:`ClientDataset.sample_batch` calls on the *same* per-client RNGs as
   the reference loop, so index draws — and therefore every float — match.
@@ -24,12 +24,11 @@ batches form their own sub-passes), so no padding is ever introduced —
 padding would perturb GEMM reduction shapes and break bit-identity.
 
 Supported substrate: :class:`~repro.nn.model.Sequential` models composed of
-``Dense`` / ``ReLU`` / ``LeakyReLU`` layers (the MLP family) under the
-default cross-entropy loss. Anything else — convolutions, BatchNorm
-(cross-sample statistics), Dropout (layer-owned RNG whose draw order a
-batched pass would change) — must keep the per-client reference path;
-:func:`supports_batched_training` is the gate ``run_group_round`` consults
-in ``engine="auto"`` mode.
+``Dense`` / ``ReLU`` layers (the MLP family) under cross-entropy, the one
+loss :meth:`Model.loss_and_grad` computes. Anything else — convolutions,
+BatchNorm (cross-sample statistics), pooling — must keep the per-client
+reference path; :func:`supports_batched_training` is the gate
+``run_group_round`` consults in ``engine="auto"`` mode.
 
 Stacking would not pay for the conv models anyway. On ResNetLite
 (base width 16, 3×8×8 inputs, one Xeon core, OpenBLAS on one thread) five
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.layers import Dense, LeakyReLU, ReLU
+from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Model
 from repro.nn.optim import ConstantLR, SGD
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
@@ -53,7 +52,7 @@ __all__ = ["supports_batched_training", "batched_local_rounds"]
 
 #: exact layer types the batched engine can stack (strict: subclasses may
 #: override forward/backward and silently diverge from the batched math)
-_BATCHABLE_LAYERS = (Dense, ReLU, LeakyReLU)
+_BATCHABLE_LAYERS = (Dense, ReLU)
 
 
 def supports_batched_training(model: Model) -> bool:
@@ -73,8 +72,9 @@ def supports_batched_training(model: Model) -> bool:
 class _BatchedNet:
     """Layout of one model template, prepared for (B, P) batched passes.
 
-    Holds per-Dense-layer offsets into the flat parameter vector plus the
-    trainable mask; built once per group round, reused every step.
+    Holds per-Dense-layer offsets into the flat parameter vector; built
+    once per group round, reused every step. ``Dense`` and ``ReLU`` register
+    only trainable parameters, so no update is ever masked.
     """
 
     def __init__(self, model: Model):
@@ -90,8 +90,6 @@ class _BatchedNet:
                 offset += size_w + layer.out_features
             elif kind is ReLU:
                 self.plan.append(("relu", 0, 0, 0))
-            elif kind is LeakyReLU:
-                self.plan.append(("lrelu", 0, 0, layer.negative_slope))
             else:  # pragma: no cover - guarded by supports_batched_training
                 raise ValueError(
                     f"layer {layer!r} has no batched equivalent; gate with "
@@ -102,10 +100,6 @@ class _BatchedNet:
             raise ValueError(
                 f"model flat size {model.num_params} != batched plan {offset}"
             )
-        mask = model.trainable_mask()
-        #: None when everything is trainable (the common case) — skips the
-        #: masking write in the step loop
-        self.frozen = None if mask.all() else ~mask
         #: index of the earliest Dense layer: its input gradient (and the
         #: backward of anything before it) is never consumed, so the
         #: backward pass stops there — one whole GEMM the per-client
@@ -138,14 +132,10 @@ class _BatchedNet:
                 b = params[:, off + n_in * n_out : off + n_in * n_out + n_out]
                 acts.append(out)
                 out = np.matmul(out, w) + b[:, None, :]
-            elif kind == "relu":
+            else:  # relu
                 mask = out > 0
                 acts.append(mask)
                 out = np.where(mask, out, 0.0)
-            else:  # lrelu
-                mask = out > 0
-                acts.append(mask)
-                out = np.where(mask, out, n_out * out)
 
         # Fused softmax cross-entropy gradient: (softmax(z) - onehot) / nb,
         # replicating repro.nn.losses.CrossEntropyLoss minus the loss value.
@@ -177,10 +167,8 @@ class _BatchedNet:
                         bsz, n_in, n_out
                     )
                     grad = np.matmul(grad, w.transpose(0, 2, 1))
-            elif kind == "relu":
+            else:  # relu
                 grad = np.where(act, grad, 0.0)
-            else:  # lrelu
-                grad = np.where(act, grad, n_out * grad)
         return gflat
 
 
@@ -227,8 +215,7 @@ def batched_local_rounds(
     (minibatches are drawn through the very same ``ClientDataset`` methods),
     same update arithmetic, bit-identical end parameters. ``model`` and
     ``optimizer`` are treated as read-only templates: the model supplies
-    the layer plan and trainable mask, the optimizer its schedule /
-    momentum / weight decay.
+    the layer plan, the optimizer its schedule / momentum / weight decay.
 
     The strategy's :meth:`~repro.core.strategies.LocalStrategy.after_local`
     hooks run once per client in client order *after* the lockstep loop —
@@ -294,8 +281,6 @@ def batched_local_rounds(
                     grads += offset_full if whole else offset_full[sel]
                 if weight_decay:
                     grads += weight_decay * p
-                if net.frozen is not None:
-                    grads[:, net.frozen] = 0.0
                 if const_lr is not None:
                     lr = const_lr
                 else:

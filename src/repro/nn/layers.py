@@ -27,7 +27,6 @@ __all__ = [
     "Conv2d",
     "Conv1d",
     "ReLU",
-    "LeakyReLU",
     "Dropout",
     "Flatten",
     "MaxPool2d",
@@ -35,7 +34,6 @@ __all__ = [
     "GlobalAvgPool2d",
     "GlobalAvgPool1d",
     "BatchNorm2d",
-    "BatchNorm1d",
 ]
 
 
@@ -255,26 +253,6 @@ class ReLU(Layer):
         return np.where(self._mask, grad_out, 0.0)
 
 
-class LeakyReLU(Layer):
-    """Leaky ReLU with configurable negative slope."""
-
-    def __init__(self, negative_slope: float = 0.01) -> None:
-        super().__init__()
-        self.negative_slope = float(negative_slope)
-        self._mask: np.ndarray | None = None
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        mask = x > 0
-        if training:
-            self._mask = mask
-        return np.where(mask, x, self.negative_slope * x)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise RuntimeError("backward called before a training forward pass")
-        return np.where(self._mask, grad_out, self.negative_slope * grad_out)
-
-
 class Dropout(Layer):
     """Inverted dropout; identity at evaluation time."""
 
@@ -430,13 +408,15 @@ class GlobalAvgPool1d(Layer):
         return np.broadcast_to(grad_out[:, :, None] / length, self._x_shape).copy()
 
 
-class _BatchNormBase(Layer):
-    """Shared batch-norm math over a reduction axis set.
+class BatchNorm2d(Layer):
+    """Batch normalization over (N, H, W) per channel for (N, C, H, W).
 
     Running statistics are registered as *non-trainable* parameters so they
     ride along in the flat parameter vector (and are federated-averaged),
     but the optimizer never updates them.
     """
+
+    _axes = (0, 2, 3)
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5):
         super().__init__()
@@ -449,12 +429,9 @@ class _BatchNormBase(Layer):
         self.add_param("running_var", np.ones(num_features), trainable=False)
         self._cache: tuple | None = None
 
-    # Subclasses define how (N, C, ...) maps to per-feature statistics.
-    _axes: tuple[int, ...] = (0,)
-
     def _reshape(self, v: np.ndarray, ndim: int) -> np.ndarray:
         shape = [1] * ndim
-        shape[1 if ndim > 1 else 0] = self.num_features
+        shape[1] = self.num_features
         return v.reshape(shape)
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
@@ -503,21 +480,3 @@ class _BatchNormBase(Layer):
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.num_features})"
-
-
-class BatchNorm2d(_BatchNormBase):
-    """Batch normalization over (N, H, W) per channel for (N, C, H, W)."""
-
-    _axes = (0, 2, 3)
-
-
-class BatchNorm1d(_BatchNormBase):
-    """Batch normalization for (N, C, L) sequences or (N, F) features."""
-
-    @property
-    def _axes(self):  # type: ignore[override]
-        return self._axes_dynamic
-
-    def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-        self._axes_dynamic = (0,) if x.ndim == 2 else (0, 2)
-        return super().forward(x, training)

@@ -1,22 +1,15 @@
-"""Loss functions returning (scalar loss, gradient w.r.t. logits)."""
+"""The training loss: (scalar loss, gradient w.r.t. logits)."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.functional import log_softmax, one_hot, softmax
+from repro.nn.functional import log_softmax, softmax
 
-__all__ = ["Loss", "CrossEntropyLoss", "MSELoss"]
-
-
-class Loss:
-    """A loss maps (logits, targets) -> (mean loss, d loss / d logits)."""
-
-    def __call__(self, logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        raise NotImplementedError
+__all__ = ["CrossEntropyLoss"]
 
 
-class CrossEntropyLoss(Loss):
+class CrossEntropyLoss:
     """Softmax cross-entropy on integer labels (fused for stability).
 
     The fused formulation avoids materializing probabilities twice and keeps
@@ -34,16 +27,3 @@ class CrossEntropyLoss(Loss):
         grad[np.arange(n), targets] -= 1.0
         grad /= n
         return float(loss), grad
-
-
-class MSELoss(Loss):
-    """Mean squared error; targets may be class indices (one-hot encoded)."""
-
-    def __call__(self, logits: np.ndarray, targets: np.ndarray) -> tuple[float, np.ndarray]:
-        targets = np.asarray(targets)
-        if targets.ndim == 1 and logits.ndim == 2:
-            targets = one_hot(targets.astype(np.int64), logits.shape[1])
-        diff = logits - targets
-        loss = float(np.mean(diff * diff))
-        grad = 2.0 * diff / diff.size
-        return loss, grad

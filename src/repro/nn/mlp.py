@@ -8,7 +8,7 @@ from repro.nn.layers import Dense, ReLU
 from repro.nn.model import Sequential
 from repro.rng import make_rng
 
-__all__ = ["MLP", "SoftmaxRegression", "make_mlp"]
+__all__ = ["MLP", "make_mlp"]
 
 
 class MLP(Sequential):
@@ -46,18 +46,6 @@ class MLP(Sequential):
         if x.ndim > 2:  # accept image/sequence tensors directly
             x = x.reshape(x.shape[0], -1)
         return super().forward(x, training=training)
-
-
-class SoftmaxRegression(MLP):
-    """Linear softmax classifier — the cheapest model for property tests."""
-
-    def __init__(
-        self,
-        in_features: int,
-        num_classes: int,
-        seed: int | np.random.Generator | None = 0,
-    ):
-        super().__init__(in_features, num_classes, hidden=(), seed=seed)
 
 
 def make_mlp(

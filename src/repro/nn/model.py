@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from repro.nn.layers import Layer
-from repro.nn.losses import CrossEntropyLoss, Loss
+from repro.nn.losses import CrossEntropyLoss
 
 __all__ = ["Model", "Sequential"]
 
@@ -114,18 +114,16 @@ class Model:
             layer.zero_grads()
 
     # -- training helpers ---------------------------------------------------------
-    def loss_and_grad(
-        self, x: np.ndarray, y: np.ndarray, loss_fn: Loss | None = None
-    ) -> float:
-        """One forward+backward pass; gradients accumulate into the layers.
+    def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> float:
+        """One cross-entropy forward+backward pass; gradients accumulate
+        into the layers.
 
         The input gradient is never built (see :meth:`accumulate_grads`);
         call :meth:`backward` when it is wanted.
         """
-        loss_fn = loss_fn or CrossEntropyLoss()
         self.zero_grads()
         logits = self.forward(x, training=True)
-        loss, grad = loss_fn(logits, y)
+        loss, grad = CrossEntropyLoss()(logits, y)
         self.accumulate_grads(grad)
         return loss
 

@@ -38,17 +38,16 @@ class ResidualBlock(Layer):
         out_channels: int,
         rng: np.random.Generator,
         stride: int = 1,
-        use_batchnorm: bool = True,
     ):
         super().__init__()
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.stride = stride
         self.conv1 = Conv2d(in_channels, out_channels, 3, rng, stride=stride, padding=1)
-        self.bn1 = BatchNorm2d(out_channels) if use_batchnorm else None
+        self.bn1 = BatchNorm2d(out_channels)
         self.relu1 = ReLU()
         self.conv2 = Conv2d(out_channels, out_channels, 3, rng, stride=1, padding=1)
-        self.bn2 = BatchNorm2d(out_channels) if use_batchnorm else None
+        self.bn2 = BatchNorm2d(out_channels)
         self.relu_out = ReLU()
         if stride != 1 or in_channels != out_channels:
             self.shortcut: Conv2d | None = Conv2d(
@@ -58,12 +57,7 @@ class ResidualBlock(Layer):
             self.shortcut = None
 
     def _sublayers(self) -> list[Layer]:
-        subs: list[Layer] = [self.conv1]
-        if self.bn1 is not None:
-            subs.append(self.bn1)
-        subs.append(self.conv2)
-        if self.bn2 is not None:
-            subs.append(self.bn2)
+        subs: list[Layer] = [self.conv1, self.bn1, self.conv2, self.bn2]
         if self.shortcut is not None:
             subs.append(self.shortcut)
         return subs
@@ -81,25 +75,20 @@ class ResidualBlock(Layer):
 
     def forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
         out = self.conv1.forward(x, training)
-        if self.bn1 is not None:
-            out = self.bn1.forward(out, training)
+        out = self.bn1.forward(out, training)
         out = self.relu1.forward(out, training)
         out = self.conv2.forward(out, training)
-        if self.bn2 is not None:
-            out = self.bn2.forward(out, training)
+        out = self.bn2.forward(out, training)
         identity = self.shortcut.forward(x, training) if self.shortcut is not None else x
         return self.relu_out.forward(out + identity, training)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         grad = self.relu_out.backward(grad_out)
         # Branch gradients: the residual sum fans the gradient to both paths.
-        grad_main = grad
-        if self.bn2 is not None:
-            grad_main = self.bn2.backward(grad_main)
+        grad_main = self.bn2.backward(grad)
         grad_main = self.conv2.backward(grad_main)
         grad_main = self.relu1.backward(grad_main)
-        if self.bn1 is not None:
-            grad_main = self.bn1.backward(grad_main)
+        grad_main = self.bn1.backward(grad_main)
         grad_main = self.conv1.backward(grad_main)
         grad_skip = self.shortcut.backward(grad) if self.shortcut is not None else grad
         return grad_main + grad_skip
@@ -118,8 +107,6 @@ class ResNetLite(Sequential):
         in_channels: int = 3,
         num_classes: int = 10,
         base_width: int = 16,
-        image_size: int = 8,
-        use_batchnorm: bool = True,
         seed: int | np.random.Generator | None = 0,
     ):
         rng = make_rng(seed)
@@ -127,9 +114,9 @@ class ResNetLite(Sequential):
         layers: list[Layer] = [
             Conv2d(in_channels, w, 3, rng, stride=1, padding=1),
             ReLU(),
-            ResidualBlock(w, w, rng, stride=1, use_batchnorm=use_batchnorm),
-            ResidualBlock(w, 2 * w, rng, stride=2, use_batchnorm=use_batchnorm),
-            ResidualBlock(2 * w, 2 * w, rng, stride=1, use_batchnorm=use_batchnorm),
+            ResidualBlock(w, w, rng, stride=1),
+            ResidualBlock(w, 2 * w, rng, stride=2),
+            ResidualBlock(2 * w, 2 * w, rng, stride=1),
             GlobalAvgPool2d(),
             Dense(2 * w, num_classes, rng),
         ]
@@ -137,15 +124,12 @@ class ResNetLite(Sequential):
         self.in_channels = in_channels
         self.num_classes = num_classes
         self.base_width = base_width
-        self.image_size = image_size
 
 
 def make_resnet_lite(
     in_channels: int = 3,
     num_classes: int = 10,
     base_width: int = 16,
-    image_size: int = 8,
-    use_batchnorm: bool = True,
     seed: int | np.random.Generator | None = 0,
 ) -> ResNetLite:
     """Factory for the paper's image-classification model."""
@@ -153,7 +137,5 @@ def make_resnet_lite(
         in_channels=in_channels,
         num_classes=num_classes,
         base_width=base_width,
-        image_size=image_size,
-        use_batchnorm=use_batchnorm,
         seed=seed,
     )

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.losses import CrossEntropyLoss
 from repro.nn.model import Model
 from repro.rng import make_rng
 
@@ -28,7 +27,7 @@ def _loss_and_gradient(
     model: Model, params: np.ndarray, x: np.ndarray, y: np.ndarray
 ) -> tuple[float, np.ndarray]:
     model.set_params(params)
-    loss = model.loss_and_grad(x, y, CrossEntropyLoss())
+    loss = model.loss_and_grad(x, y)
     return loss, model.get_grads()
 
 

@@ -120,7 +120,7 @@ def _oracle_patch(monkeypatch) -> None:
     in their textbook forms."""
     for name in ("im2col", "col2im", "im2col_1d", "col2im_1d"):
         monkeypatch.setattr(layers, name, getattr(ref, name))
-    monkeypatch.setattr(layers._BatchNormBase, "forward", ref.batchnorm_forward)
+    monkeypatch.setattr(layers.BatchNorm2d, "forward", ref.batchnorm_forward)
     monkeypatch.setattr(model_mod.Model, "loss_and_grad", ref.loss_and_grad)
 
 

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.nn import (
-    BatchNorm1d,
     BatchNorm2d,
     Conv1d,
     Conv2d,
@@ -14,7 +13,6 @@ from repro.nn import (
     Flatten,
     GlobalAvgPool1d,
     GlobalAvgPool2d,
-    LeakyReLU,
     MaxPool1d,
     MaxPool2d,
     ReLU,
@@ -186,16 +184,6 @@ class TestActivations:
         x = np.array([[-1.0, 0.0, 2.0]])
         assert np.allclose(ReLU().forward(x), [[0, 0, 2]])
 
-    def test_leaky_relu_values(self):
-        x = np.array([[-10.0, 5.0]])
-        assert np.allclose(LeakyReLU(0.1).forward(x), [[-1.0, 5.0]])
-
-    def test_leaky_relu_gradients(self, rng):
-        model = Sequential([Dense(4, 4, rng), LeakyReLU(0.2), Dense(4, 2, rng)])
-        x = rng.normal(size=(3, 4))
-        y = rng.integers(0, 2, size=3)
-        check_gradients(model, x, y)
-
 
 class TestDropout:
     def test_eval_mode_is_identity(self, rng):
@@ -261,18 +249,6 @@ class TestBatchNorm:
         grads = model.get_grads()
         assert np.isfinite(grads).all()
         assert np.abs(grads).max() > 0
-
-    def test_batchnorm1d_2d_input(self, rng):
-        bn = BatchNorm1d(4)
-        x = rng.normal(loc=3.0, size=(32, 4))
-        out = bn.forward(x, training=True)
-        assert out.mean(axis=0) == pytest.approx(np.zeros(4), abs=1e-9)
-
-    def test_batchnorm1d_3d_input(self, rng):
-        bn = BatchNorm1d(4)
-        x = rng.normal(loc=3.0, size=(8, 4, 6))
-        out = bn.forward(x, training=True)
-        assert out.mean(axis=(0, 2)) == pytest.approx(np.zeros(4), abs=1e-9)
 
     def test_trainable_mask(self):
         bn = BatchNorm2d(3)

@@ -11,7 +11,6 @@ from repro.nn import (
     CrossEntropyLoss,
     ResNetLite,
     SGD,
-    SoftmaxRegression,
     make_audio_cnn,
     make_mlp,
     make_resnet_lite,
@@ -69,7 +68,7 @@ class TestFlatParams:
 
 class TestEvaluate:
     def test_perfect_predictions(self):
-        m = SoftmaxRegression(2, 2, seed=0)
+        m = make_mlp(2, 2, hidden=(), seed=0)
         # Hand-craft weights: class = argmax of features.
         W = np.array([[10.0, -10.0], [-10.0, 10.0]])
         b = np.zeros(2)
@@ -139,7 +138,7 @@ class TestModelZoo:
     def test_resnet_gradient_flow_through_skip(self):
         """Zeroing the main branch must still propagate via the shortcut."""
         rng = np.random.default_rng(0)
-        m = make_resnet_lite(base_width=4, use_batchnorm=False, seed=0)
+        m = make_resnet_lite(base_width=4, seed=0)
         x = rng.normal(size=(2, 3, 8, 8))
         y = rng.integers(0, 10, size=2)
         m.loss_and_grad(x, y)

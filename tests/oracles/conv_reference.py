@@ -6,7 +6,7 @@ each kernel offset into an NCHW (NCL) buffer and return the cropped view.
 Production kernels must produce the same bytes, signed zeros included.
 
 ``batchnorm_forward`` and ``loss_and_grad`` are the matching forms of
-``_BatchNormBase.forward`` (mean and variance as two independent numpy
+``BatchNorm2d.forward`` (mean and variance as two independent numpy
 reductions) and ``Model.loss_and_grad`` (a full backward that also builds
 the discarded input gradient of the first layer).
 """
@@ -116,7 +116,7 @@ def col2im_1d(
 
 
 def batchnorm_forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
-    """``_BatchNormBase.forward`` with ``x.mean`` and ``x.var`` as two passes."""
+    """``BatchNorm2d.forward`` with ``x.mean`` and ``x.var`` as two passes."""
     ndim = x.ndim
     gamma = self._reshape(self.params["gamma"], ndim)
     beta = self._reshape(self.params["beta"], ndim)
@@ -137,11 +137,10 @@ def batchnorm_forward(self, x: np.ndarray, training: bool = True) -> np.ndarray:
     return gamma * (x - mean) / np.sqrt(var + self.eps) + beta
 
 
-def loss_and_grad(self, x: np.ndarray, y: np.ndarray, loss_fn=None) -> float:
+def loss_and_grad(self, x: np.ndarray, y: np.ndarray) -> float:
     """``Model.loss_and_grad`` through the full ``backward``."""
-    loss_fn = loss_fn or CrossEntropyLoss()
     self.zero_grads()
     logits = self.forward(x, training=True)
-    loss, grad = loss_fn(logits, y)
+    loss, grad = CrossEntropyLoss()(logits, y)
     self.backward(grad)
     return loss

@@ -1,6 +1,7 @@
 """Smoke tests for the top-level public API and the docs that name it."""
 
 import importlib
+import pkgutil
 import re
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 import repro
 
 REPO = Path(__file__).parents[1]
+SNAPSHOT = Path(__file__).with_name("public_api.txt")
 
 
 class TestPublicAPI:
@@ -52,6 +54,47 @@ class TestPublicAPI:
         history = trainer.run()
         assert history.total_cost > 0
         assert 0.0 <= history.final_accuracy <= 1.0
+
+
+def public_surface() -> list[str]:
+    """One ``<module>.<name> <defining module>`` line per ``__all__`` entry
+    of every module under ``repro``.
+
+    A class or function is defined where its ``__module__`` says; any other
+    object (a constant, a registry dict) in the deepest module that binds it.
+    """
+    names = ["repro"] + [
+        info.name
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if not info.name.endswith("__main__")
+    ]
+    modules = {name: importlib.import_module(name) for name in names}
+    lines = []
+    for name, module in modules.items():
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            home = getattr(obj, "__module__", None)
+            if not callable(obj) or home is None:
+                home = max(
+                    (m for m, mod in modules.items() if vars(mod).get(attr) is obj),
+                    key=lambda m: m.count("."),
+                )
+            lines.append(f"{name}.{attr} {home}")
+    return sorted(lines)
+
+
+class TestPublicSurface:
+    def test_matches_snapshot(self):
+        """Every exported name, and where it lives, is reviewed on change."""
+        want = SNAPSHOT.read_text().splitlines()
+        got = public_surface()
+        added = sorted(set(got) - set(want))
+        removed = sorted(set(want) - set(got))
+        assert not (added or removed), (
+            f"public surface changed (+{added}, -{removed}); regenerate "
+            f"{SNAPSHOT.relative_to(REPO)} with `PYTHONPATH=src python -m "
+            "tests.test_public_api` and commit the diff"
+        )
 
 
 def _resolve(dotted: str):
@@ -102,3 +145,7 @@ class TestTheoryMap:
         paths = [ref.split("::")[0] for ref in _theory_code_refs() if "/" in ref]
         assert paths
         assert not [p for p in paths if not (REPO / p).is_file()]
+
+
+if __name__ == "__main__":
+    SNAPSHOT.write_text("\n".join(public_surface()) + "\n")

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.nn import SoftmaxRegression, make_mlp
+from repro.nn import make_mlp
 from repro.theory import check_descent_lemma, estimate_smoothness
 
 
@@ -18,7 +18,7 @@ def task():
 class TestEstimateSmoothness:
     def test_positive_and_finite(self, task):
         x, y = task
-        model = SoftmaxRegression(6, 3, seed=0)
+        model = make_mlp(6, 3, hidden=(), seed=0)
         L = estimate_smoothness(model, x, y, num_pairs=10, rng=0)
         assert 0 < L < np.inf
 
@@ -26,7 +26,7 @@ class TestEstimateSmoothness:
         """Softmax regression's Hessian norm is bounded by ~‖X‖²/(2N)·c;
         the secant estimate must respect a generous version of it."""
         x, y = task
-        model = SoftmaxRegression(6, 3, seed=0)
+        model = make_mlp(6, 3, hidden=(), seed=0)
         L = estimate_smoothness(model, x, y, num_pairs=20, rng=0)
         crude_bound = float((x**2).sum(axis=1).max())  # per-sample feature energy
         assert L <= crude_bound
@@ -40,7 +40,7 @@ class TestEstimateSmoothness:
 
     def test_validation(self, task):
         x, y = task
-        model = SoftmaxRegression(6, 3, seed=0)
+        model = make_mlp(6, 3, hidden=(), seed=0)
         with pytest.raises(ValueError):
             estimate_smoothness(model, x, y, num_pairs=0)
 
@@ -50,7 +50,7 @@ class TestDescentLemma:
         """Eq. (19) holds at sampled pairs once L has a safety factor —
         the inequality the whole Theorem-1 proof starts from."""
         x, y = task
-        model = SoftmaxRegression(6, 3, seed=0)
+        model = make_mlp(6, 3, hidden=(), seed=0)
         L = estimate_smoothness(model, x, y, num_pairs=30, radius=0.5, rng=0)
         ok, violation = check_descent_lemma(
             model, x, y, L=3.0 * L, num_pairs=30, radius=0.5, rng=1
@@ -61,7 +61,7 @@ class TestDescentLemma:
         """With L far too small the quadratic bound must break — the check
         actually checks something."""
         x, y = task
-        model = SoftmaxRegression(6, 3, seed=0)
+        model = make_mlp(6, 3, hidden=(), seed=0)
         ok, violation = check_descent_lemma(
             model, x, y, L=1e-9, num_pairs=30, radius=0.5, rng=1
         )
@@ -70,6 +70,6 @@ class TestDescentLemma:
 
     def test_validation(self, task):
         x, y = task
-        model = SoftmaxRegression(6, 3, seed=0)
+        model = make_mlp(6, 3, hidden=(), seed=0)
         with pytest.raises(ValueError):
             check_descent_lemma(model, x, y, L=0.0)
