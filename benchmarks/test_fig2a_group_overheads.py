@@ -23,7 +23,8 @@ def test_fig2a(benchmark):
     # Shapes: training linear, group ops quadratic (good fits).
     assert training["fit"] == "linear" and training["r2"] > 0.85
     assert secagg["fit"] == "quadratic" and secagg["r2"] > 0.85
-    # Backdoor detection: constant-dominated at fast-scale sizes, so only
+    # Backdoor detection: constant-dominated at fast-scale sizes (per-call
+    # setup plus the linkage kernel's per-merge NumPy overhead), so only
     # the shape is asserted (grows, never shrinks drastically).
     assert backdoor["fit"] == "quadratic"
     assert backdoor["seconds"][-1] >= backdoor["seconds"][0] * 0.9

@@ -24,7 +24,7 @@ import numpy as np
 from repro.core.client import run_local_rounds
 from repro.core.trainer import GroupFELTrainer
 from repro.grouping.base import Group
-from repro.secure.backdoor import BackdoorDetector
+from repro.secure.backdoor import BackdoorDetector, _average_linkage, _flat_clusters
 
 __all__ = ["FedCLARTrainer"]
 
@@ -85,11 +85,11 @@ class FedCLARTrainer(GroupFELTrainer):
 
     def _cluster_clients(self) -> None:
         """Cluster the active clients by local-update cosine similarity."""
-        # SciPy's clustering loads at first use: most runs never cluster.
-        from scipy.cluster.hierarchy import fcluster, linkage
-        from scipy.spatial.distance import squareform
-
         ids = np.flatnonzero(self._active())
+        if ids.size == 0:
+            raise ValueError(
+                f"FedCLAR has no active client to cluster at round {self.round_idx}"
+            )
         updates = np.empty((ids.size, self.global_params.shape[0]))
         rng = self.rng.spawn(1)[0]
         clients = self.fed.materialize(ids)
@@ -105,9 +105,9 @@ class FedCLARTrainer(GroupFELTrainer):
             )
             updates[row] = end - self.global_params
         dist = BackdoorDetector.cosine_distance_matrix(updates)
-        tree = linkage(squareform(dist, checks=False), method="average")
-        k = min(self.num_clusters, ids.size)
-        labels = fcluster(tree, t=k, criterion="maxclust") - 1
+        tree = _average_linkage(dist)
+        # At most num_clusters clusters; one active client makes one.
+        labels = _flat_clusters(tree, self.num_clusters, "maxclust") - 1
         self.client_cluster = np.full(self.fed.num_clients, -1, dtype=np.int64)
         self.client_cluster[ids] = labels
         self.cluster_models = {

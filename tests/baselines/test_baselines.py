@@ -286,6 +286,23 @@ class TestFedCLARRoundLoop:
             for g in selected:
                 assert clustered[g.members].all()
 
+    def test_one_active_client_is_one_cluster(self):
+        trainer = fedclar(fresh_fed(), population="start:0.001")
+        trainer.run()
+        (only,) = np.flatnonzero(trainer.population_engine.active).tolist()
+        assert list(trainer.cluster_models) == [0]
+        assert trainer.client_cluster.tolist() == [
+            0 if c == only else -1 for c in range(16)
+        ]
+        assert trainer.cluster_groups[0].members.tolist() == [only]
+
+    def test_no_active_client_names_the_round(self):
+        trainer = fedclar(fresh_fed())
+        trainer.round_idx = 2
+        trainer._active = lambda: np.zeros(trainer.fed.num_clients, bool)
+        with pytest.raises(ValueError, match="no active client .* at round 2"):
+            trainer._cluster_clients()
+
     def test_rejects_adaptive_sampling(self, small_fed, small_edges):
         groups = group_clients_per_edge(
             RandomGrouping(3), small_fed.L, small_edges, rng=0

@@ -162,6 +162,17 @@ class TestBackdoorDetector:
         report = BackdoorDetector().detect(np.ones((1, 10)), rng=0)
         assert report.admitted.tolist() == [0]
 
+    def test_rejects_diverged_updates_by_row(self):
+        updates = np.random.default_rng(4).normal(size=(6, 20))
+        updates[1, 3] = np.nan
+        updates[4, 0] = -np.inf
+        with pytest.raises(ValueError, match=r"update rows \[1, 4\] hold NaN or inf"):
+            BackdoorDetector().detect(updates, rng=0)
+
+    def test_rejects_empty_updates(self):
+        with pytest.raises(ValueError, match=r"empty \(0, 10\) matrix"):
+            BackdoorDetector().detect(np.empty((0, 10)), rng=0)
+
     def test_clipping_bounds_norms(self):
         rng = np.random.default_rng(2)
         direction = rng.normal(size=50)
