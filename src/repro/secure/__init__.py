@@ -8,7 +8,9 @@ calibrate the cost model.
 
 * ``secagg`` — Bonawitz-style pairwise-masked aggregation over fixed-point
   integers: each pair of clients derives a shared mask that cancels in the
-  sum, so the server only ever sees masked vectors.
+  sum, so the server only ever sees masked vectors. Because they cancel,
+  a training run's total is the ring sum of the encodings; the masked
+  vectors are derived only when read.
 * ``backdoor`` — a FLAME-style defense: pairwise cosine distances between
   client updates, clustering to drop outliers, median-norm clipping, and
   optional noise.

@@ -7,6 +7,10 @@ against it, the server collects ≥ t shares from survivors, reconstructs
 the dropped client's pairwise seeds, re-expands the masks, and cancels
 them from the aggregate. The decoded sum then equals the plain sum of the
 *surviving* clients' vectors.
+
+That sum is the ring sum of the survivors' encodings, bit for bit, so the
+simulator computes it directly and expands no mask; the seed sharing
+(which draws from the caller's generator) and reconstruction still run.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.rng import make_rng
-from repro.secure.masking import pairwise_mask, pairwise_seed
+from repro.secure.masking import pairwise_seed
 from repro.secure.quantize import FixedPointCodec
 from repro.secure.shamir import reconstruct_secret, split_secret
 
@@ -68,7 +72,7 @@ class DropoutTolerantAggregator:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2:
             raise ValueError(f"expected (clients, dim), got {vectors.shape}")
-        s, dim = vectors.shape
+        s = vectors.shape[0]
         dropped_set = set(int(d) for d in dropped)
         if any(d < 0 or d >= s for d in dropped_set):
             raise ValueError("dropped indices out of range")
@@ -82,49 +86,35 @@ class DropoutTolerantAggregator:
 
         # Round 0: every client Shamir-shares each pairwise seed among the
         # group (in the real protocol, encrypted peer-to-peer).
+        seeds: dict[tuple[int, int], int] = {}
         seed_shares: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for i in range(s):
             for j in range(i + 1, s):
-                seed = pairwise_seed(round_id, i, j, session)
+                seeds[(i, j)] = pairwise_seed(round_id, i, j, session)
                 seed_shares[(i, j)] = split_secret(
-                    seed, num_shares=s, threshold=self.threshold, rng=rng
+                    seeds[(i, j)], num_shares=s, threshold=self.threshold, rng=rng
                 )
 
-        # Round 1: survivors submit masked vectors.
-        ring_sum = np.zeros(dim, dtype=np.uint64)
-        for i in survivors:
-            acc = self.codec.encode(vectors[i]).copy()
-            for j in range(s):
-                if j == i:
-                    continue
-                mask = pairwise_mask(pairwise_seed(round_id, i, j, session), dim)
-                if i < j:
-                    acc += mask
-                else:
-                    acc -= mask
-            ring_sum += acc
+        # Round 1: survivors submit masked vectors. Masks between survivors
+        # cancel in the ring sum, and round 2 cancels the rest.
+        ring_sum = self.codec.encode(vectors[survivors]).sum(axis=0, dtype=np.uint64)
 
-        # Round 2: cancel the uncancelled masks — every (survivor, dropped)
-        # pair left exactly one un-matched mask in the sum. Survivors hand
-        # the server their shares of the dropped clients' seeds.
+        # Round 2: every (survivor, dropped) pair left exactly one un-matched
+        # mask in the uploads. Survivors hand the server their shares of the
+        # dropped clients' seeds, and the server reconstructs each seed.
         reconstructed = 0
         shares_used = 0
         for d in dropped_set:
             for i in survivors:
-                lo, hi = (i, d) if i < d else (d, i)
-                shares = seed_shares[(lo, hi)]
+                pair = (i, d) if i < d else (d, i)
+                shares = seed_shares[pair]
                 # Server queries `threshold` surviving shareholders.
                 provider_ids = survivors[: self.threshold]
                 subset = [shares[p] for p in provider_ids]
-                seed = reconstruct_secret(subset)
+                if reconstruct_secret(subset) != seeds[pair]:
+                    raise RuntimeError(f"seed of pair {pair} not recovered from its shares")
                 shares_used += len(subset)
-                mask = pairwise_mask(seed, dim)
                 reconstructed += 1
-                # Survivor i applied +mask if i < d else −mask; remove it.
-                if i < d:
-                    ring_sum -= mask
-                else:
-                    ring_sum += mask
 
         total = self.codec.decode(ring_sum)
         return DropoutSecAggResult(

@@ -14,7 +14,7 @@ Two implementations coexist:
 * :func:`pairwise_seed` / :func:`pairwise_mask` — the scalar reference
   path: one ``SeedSequence`` per pair, one ``Generator(Philox)`` per mask.
 * :func:`pairwise_seed_table` / :func:`batched_pair_masks` /
-  :func:`accumulate_pair_masks` — the hot path: all Θ(s²) pair seeds of a
+  :func:`accumulate_pair_masks` — the batched path: all Θ(s²) pair seeds of a
   round are derived in one vectorized ``SeedSequence`` hash pass
   (:func:`repro.rng.seedseq_pool` — the entropy-pool mix as fused NumPy
   array ops, shared with the population layer's batch decisions), all Philox
@@ -24,14 +24,15 @@ Two implementations coexist:
   element-for-element (``tests/secure/test_masking_batched.py`` pins the
   equivalence), so masked vectors and ring sums do not change.
 
+The batched path serves :attr:`repro.secure.SecAggResult.masked_inputs`,
+the tests and the benches, not the training round: the masks cancel in
+the server's ring sum, so a training run sums the plain encodings and
+derives no seed table at all.
+
 Seed tables are cached per (session, round, group size) — in the
 simulator pair identity is positional (local client indices 0..s−1), so
-the table depends on nothing else. A training run uses the group id as
-the session, so no two groups of one round share masks — and no table is
-derived twice: a run never hits the cache (``secure_groups`` seed 0: 0
-hits in the 66 calls of an 11-round pass). Repeated aggregation of one
-round does, as in the equivalence tests and the SecAgg hot-path
-benchmark.
+the table depends on nothing else. Repeated masking of one round hits the
+cache, as in the equivalence tests and the SecAgg hot-path benchmark.
 """
 
 from __future__ import annotations

@@ -3,26 +3,30 @@
 The protocol simulated here is the mask-cancellation core of
 "Practical Secure Aggregation for Privacy-Preserving Machine Learning"
 (CCS'17): fixed-point encoding, pairwise additive masks, server-side ring
-summation. Dropout recovery (secret-sharing the seeds) is out of scope —
-the simulator has no partial failures — but the cost structure (Θ(|g|²·d)
-mask work per group) is exactly what the paper's O_g(|g|) quadratic
-overhead models.
+summation; dropout recovery lives in :mod:`repro.secure.dropout`. The cost
+structure (Θ(|g|²·d) mask work per group) is exactly what the paper's
+O_g(|g|) quadratic overhead models.
 
-The hot path batches the whole round: one cached pair-seed table
-(:func:`repro.secure.masking.pairwise_seed_table`), all Philox key
-schedules derived in one vectorized hash pass, and a single reusable
-counter-mode stream that expands each pair mask once and applies it ± in
-place (:func:`repro.secure.masking.accumulate_pair_masks`).  Because ring
-addition is commutative, the masked vectors — and therefore the ring sum —
-are bit-identical to the scalar reference path (kept as
-:meth:`SecureAggregator.aggregate_reference`).  ``mask_expansions`` keeps
-counting the *protocol's* PRG work (two expansions per pair, the Θ(s²)
-quantity), independent of the simulator's dedup.
+Every pair mask is added by one endpoint and subtracted by the other, so
+the masks cancel exactly in the uint64 ring: the server's sum of the
+masked uploads is the ring sum of the plain encodings, bit for bit.
+:meth:`SecureAggregator.aggregate` computes ``total`` that way and
+expands no mask. The masked uploads, :attr:`SecAggResult.masked_inputs`,
+are derived on first read through the batched path
+(:func:`repro.secure.masking.pairwise_seed_table` +
+:func:`repro.secure.masking.accumulate_pair_masks`), bit-identical to the
+scalar reference path. ``mask_expansions`` and the telemetry counters
+count the *protocol's* work (two expansions per pair, the Θ(s²) quantity,
+and s·d·payload words masked) whether or not the masks are expanded; the
+cost model's constants come from timing the masked
+:meth:`SecureAggregator.aggregate_reference` (``costs.rpi``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -43,18 +47,24 @@ class SecAggResult:
     """Outcome of one secure aggregation.
 
     ``total`` is the decoded sum of all client vectors; ``masked_inputs``
-    are what the server actually saw (for tests asserting privacy);
-    ``mask_expansions`` counts PRG mask vectors generated (2 per pair),
-    the quantity that scales quadratically with group size.
+    are what the server saw under the protocol (for tests asserting
+    privacy), derived from the encodings on first read; ``mask_expansions``
+    counts PRG mask vectors the protocol generates (2 per pair), the
+    quantity that scales quadratically with group size.
     """
 
     total: np.ndarray
-    masked_inputs: np.ndarray
     mask_expansions: int
+    _clients: int = field(repr=False)
+    _masked: Callable[[], np.ndarray] = field(repr=False)
+
+    @cached_property
+    def masked_inputs(self) -> np.ndarray:
+        return self._masked()
 
     @property
     def mean(self) -> np.ndarray:
-        return self.total / self.masked_inputs.shape[0]
+        return self.total / self._clients
 
 
 class SecureAggregator:
@@ -93,23 +103,30 @@ class SecureAggregator:
             raise ValueError(f"expected (clients, dim), got shape {vectors.shape}")
         return vectors
 
-    def _encode_masked(self, vectors: np.ndarray) -> np.ndarray:
-        """Fixed-point encode all rows, tiled to the masked payload width."""
-        enc = self.codec.encode(vectors)
-        if self.payload_factor > 1:
-            enc = np.tile(enc, (1, self.payload_factor))
-        return enc
+    def _mask(self, encoded: np.ndarray, round_id: int, session: int) -> np.ndarray:
+        """The masked uploads: a tiled copy of ``encoded`` with every pair
+        mask applied ± to its rows."""
+        masked = np.tile(encoded, (1, self.payload_factor))
+        s = masked.shape[0]
+        if s > 1:
+            lo, hi, seeds = pairwise_seed_table(round_id, s, session)
+            accumulate_pair_masks(masked, lo, hi, seeds)
+        return masked
 
     def _finish(
-        self, masked: np.ndarray, dim: int, s: int, expansions: int
+        self,
+        ring_sum: np.ndarray,
+        s: int,
+        dim: int,
+        expansions: int,
+        masked: Callable[[], np.ndarray],
     ) -> SecAggResult:
-        ring_sum = masked.sum(axis=0, dtype=np.uint64)
         total = self.codec.decode(ring_sum[:dim], count=s)
         if self.telemetry.enabled:
             self.telemetry.inc("secagg_calls")
             self.telemetry.inc("secagg_mask_expansions", float(expansions))
-            self.telemetry.inc("secagg_bytes_masked", float(masked.nbytes))
-        return SecAggResult(total=total, masked_inputs=masked, mask_expansions=expansions)
+            self.telemetry.inc("secagg_bytes_masked", float(s * dim * self.payload_factor * 8))
+        return SecAggResult(total, expansions, s, masked)
 
     def aggregate(
         self,
@@ -119,18 +136,22 @@ class SecureAggregator:
     ) -> SecAggResult:
         """Securely sum ``vectors`` of shape (clients, dim).
 
-        Every client's submission is masked by the pairwise masks; the
-        server sums the masked uint64 vectors (wraparound = ring addition)
-        and decodes. The result equals the plain sum up to fixed-point
-        rounding.
+        The server's sum of the masked uint64 uploads (wraparound = ring
+        addition) equals the ring sum of the encodings, since the masks
+        cancel; that sum is decoded, and the masks are expanded only if
+        ``masked_inputs`` is read. The result equals the plain sum up to
+        fixed-point rounding.
         """
         vectors = self._validate(vectors)
         s, dim = vectors.shape
-        masked = self._encode_masked(vectors)
-        if s > 1:
-            lo, hi, seeds = pairwise_seed_table(round_id, s, session)
-            accumulate_pair_masks(masked, lo, hi, seeds)
-        return self._finish(masked, dim, s, s * (s - 1))
+        encoded = self.codec.encode(vectors)
+        return self._finish(
+            encoded.sum(axis=0, dtype=np.uint64),
+            s,
+            dim,
+            s * (s - 1),
+            partial(self._mask, encoded, round_id, session),
+        )
 
     def aggregate_reference(
         self,
@@ -141,14 +162,16 @@ class SecureAggregator:
         """The pre-vectorization implementation: one ``SeedSequence`` and
         one ``Generator`` per (client, partner) mask expansion.
 
-        Kept as the golden reference — ``benchmarks/test_hotpaths.py``
-        measures the speedup against it, and the equivalence tests assert
-        that :meth:`aggregate` produces bit-identical masked matrices.
+        Kept as the golden reference and the calibration subject:
+        ``costs.rpi`` times it for Figs. 2a/8, ``benchmarks/test_hotpaths.py``
+        measures the batched mask path's speedup against it, and the
+        equivalence tests assert that :meth:`aggregate` produces a
+        bit-identical total and masked matrix.
         """
         vectors = self._validate(vectors)
         s, dim = vectors.shape
         masked_dim = dim * self.payload_factor
-        enc_all = self._encode_masked(vectors)
+        enc_all = np.tile(self.codec.encode(vectors), (1, self.payload_factor))
         masked = np.zeros((s, masked_dim), dtype=np.uint64)
         expansions = 0
         for i in range(s):
@@ -163,7 +186,8 @@ class SecureAggregator:
                 else:
                     acc -= mask
             masked[i] = acc
-        return self._finish(masked, dim, s, expansions)
+        ring_sum = masked.sum(axis=0, dtype=np.uint64)
+        return self._finish(ring_sum, s, dim, expansions, lambda: masked)
 
     def aggregate_weighted(
         self,
