@@ -1,16 +1,10 @@
-"""Telemetry cost contract: free when off, faithful when on.
+"""Telemetry cost contract: free when off.
 
-Two claims are asserted:
-
-1. **Disabled overhead < 3%** — when no telemetry is activated, every
-   instrumentation point in the training stack degenerates to a no-op
-   method on ``NULL_TELEMETRY``. Timing a generous multiple of the no-op
-   calls an instrumented run would make shows the total is a vanishing
-   fraction of real training time.
-2. **Θ(s²) SecAgg span scaling** — the ``secagg`` spans an enabled run
-   records grow quadratically with group size, reproducing Fig. 2a's
-   group-operation shape from trace data alone (min-of-repeats against
-   timer noise, quadratic fit like ``costs.calibration``).
+**Disabled overhead < 3%** — when no telemetry is activated, every
+instrumentation point in the training stack degenerates to a no-op
+method on ``NULL_TELEMETRY``. Timing a generous multiple of the no-op
+calls an instrumented run would make shows the total is a vanishing
+fraction of real training time.
 """
 
 import time
@@ -18,12 +12,10 @@ import time
 import numpy as np
 
 from _util import run_once
-from repro.core import GroupFELTrainer, TrainerConfig, run_group_round
-from repro.costs.calibration import fit_quadratic
+from repro.core import GroupFELTrainer, TrainerConfig
 from repro.data import FederatedDataset, SyntheticImage
-from repro.grouping import CoVGrouping, Group, group_clients_per_edge
-from repro.nn import SGD, make_mlp
-from repro.secure import SecureAggregator
+from repro.grouping import CoVGrouping, group_clients_per_edge
+from repro.nn import make_mlp
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 
@@ -80,52 +72,3 @@ def test_disabled_overhead_under_3_percent(benchmark):
           f"{noop_s * 1e3:.2f} ms vs {train_s * 1e3:.0f} ms training "
           f"({overhead:.2%})")
     assert overhead < 0.03
-
-
-def test_secagg_span_time_is_quadratic_in_group_size(benchmark):
-    sizes = [4, 8, 16]
-    fed = _make_fed(num_clients=max(sizes), n_train=3_000)
-    model = make_mlp(192, 10, hidden=(64,), seed=0)
-    opt = SGD(model, lr=0.05)
-
-    def secagg_span_seconds():
-        """Min secagg span duration per group size, from the trace alone."""
-        best = {}
-        for s in sizes:
-            tel = Telemetry(label=f"s{s}")
-            group = Group(
-                group_id=0, edge_id=0,
-                members=np.arange(s),
-                label_counts=fed.L[:s].sum(axis=0),
-            )
-            for repeat in range(3):
-                run_group_round(
-                    model, opt, group, fed.clients,
-                    global_params=model.get_params().copy(),
-                    group_rounds=2, local_rounds=1, batch_size=64,
-                    rng=repeat,
-                    secure_aggregator=SecureAggregator(telemetry=tel),
-                    telemetry=tel,
-                )
-            spans = [sp for sp in tel.tracer.spans() if sp.name == "secagg"]
-            assert len(spans) == 6  # 3 repeats x K=2
-            assert all(sp.attrs["clients"] == s for sp in spans)
-            best[s] = min(sp.duration for sp in spans)
-        return best
-
-    best = run_once(benchmark, secagg_span_seconds)
-    xs = np.array(sizes, dtype=float)
-    ys = np.array([best[s] for s in sizes])
-    print("\nsecagg span seconds by group size:")
-    for s in sizes:
-        print(f"  s={s:3d}  {best[s] * 1e3:8.2f} ms")
-
-    # Doubling the group size should much more than double the span time
-    # (pure s² would be 4x; linear encode/decode terms soften it a little).
-    assert ys[2] > 2.0 * ys[1]
-    assert ys[1] > 1.5 * ys[0]
-    # And the whole curve is well explained by a quadratic.
-    _, r2 = fit_quadratic(xs, ys)
-    assert r2 > 0.95
-    # Largest size far exceeds linear extrapolation from the smallest.
-    assert ys[2] > 2.0 * (ys[0] * xs[2] / xs[0])

@@ -51,6 +51,7 @@ from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
 from multiprocessing import resource_tracker
 from typing import Any, Callable, Sequence, TypeVar
 
+from repro._heap import trim_free_heap
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
 T = TypeVar("T")
@@ -192,6 +193,9 @@ class ParallelMap:
             # (Windows has no tracker: a segment lives while it is mapped.)
             if os.name == "posix":
                 resource_tracker.ensure_running()
+            # A forked worker counts the parent's free heap as its own
+            # resident memory; hand it back first (see repro._heap).
+            trim_free_heap()
             # Worker state ships once, through the initializer, to every
             # worker this pool ever spawns. (Executor construction is cheap;
             # actual process spawn cost lands in the first dispatch.)

@@ -11,6 +11,9 @@ import numpy as np
 
 __all__ = ["FixedPointCodec"]
 
+#: elements per ``encode`` block: a 512 KiB float64 work buffer
+_BLOCK = 1 << 16
+
 
 class FixedPointCodec:
     """Encode float vectors as uint64 fixed-point ring elements.
@@ -37,14 +40,22 @@ class FixedPointCodec:
     def encode(self, vec: np.ndarray) -> np.ndarray:
         """float64 -> uint64 ring elements (two's-complement embedding).
 
-        One float64 copy is clipped, scaled and rounded in place; the int64
-        cast is the only other array.
+        Blocks of ``_BLOCK`` elements are clipped, scaled and rounded in a
+        small float64 work buffer and cast into the int64 output, which is the
+        only array of the input's size; ``vec`` is never written.
         """
-        buf = np.array(vec, dtype=np.float64)
-        np.clip(buf, -self.clip, self.clip, out=buf)
-        np.multiply(buf, self.scale, out=buf)
-        np.rint(buf, out=buf)
-        return buf.astype(np.int64).view(np.uint64)
+        src = np.asarray(vec, dtype=np.float64)
+        out = np.empty(src.shape, dtype=np.int64)
+        flat_src, flat_out = src.reshape(-1), out.reshape(-1)
+        work = np.empty(min(_BLOCK, flat_src.size))
+        for lo in range(0, flat_src.size, _BLOCK):
+            block = flat_src[lo : lo + _BLOCK]
+            buf = work[: block.size]
+            np.clip(block, -self.clip, self.clip, out=buf)
+            np.multiply(buf, self.scale, out=buf)
+            np.rint(buf, out=buf)
+            flat_out[lo : lo + block.size] = buf
+        return out.view(np.uint64)
 
     def decode(self, ring: np.ndarray, count: int = 1) -> np.ndarray:
         """uint64 ring elements -> float64.

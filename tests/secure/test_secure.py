@@ -45,6 +45,39 @@ class TestFixedPointCodec:
         with pytest.raises(ValueError):
             FixedPointCodec(clip=-1)
 
+    def test_blocked_encode_is_bytewise_the_whole_array_encode(self):
+        """``encode`` works through a small buffer in blocks; every element
+        must come out as the one-shot clip → scale → round → cast gives it,
+        whatever the shape, layout, dtype or block boundary, and the input
+        stays untouched."""
+        from repro.secure.quantize import _BLOCK
+
+        def whole(codec, v):
+            v = np.asarray(v, dtype=np.float64)
+            scaled = np.clip(v, -codec.clip, codec.clip) * codec.scale
+            return np.rint(scaled).astype(np.int64).view(np.uint64)
+
+        rng = np.random.default_rng(7)
+        specials = np.array([np.inf, -np.inf, 0.0, -0.0, 0.5, -0.5, 1e6, -1e6])
+        cases = [np.float64(-3.25), np.empty((0, 5)), specials]
+        for size in (1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 17):
+            cases.append(rng.normal(scale=10.0 ** rng.uniform(-6, 7), size=size))
+        for _ in range(40):
+            s, d = rng.integers(1, 33), rng.integers(1, 30_000)
+            v = rng.normal(scale=10.0 ** rng.uniform(-6, 7), size=(s, d))
+            v.flat[rng.integers(0, v.size, 4)] = rng.choice(specials, 4)
+            cases.append(v)
+        cases += [cases[-1][:, ::3], cases[-1].T, cases[-2].astype(np.float32)]
+        cases.append(rng.integers(-10**6, 10**6, size=(4, 9)))
+        for scale, clip in [(2.0**24, 1e6), (2.0**10, 3.0), (1e3, 1e-3)]:
+            codec = FixedPointCodec(scale=scale, clip=clip)
+            for v in cases:
+                kept = np.array(v, copy=True)
+                got, want = codec.encode(v), whole(codec, v)
+                assert got.dtype == np.uint64 and got.shape == np.shape(v)
+                assert got.tobytes() == want.tobytes()
+                assert np.array_equal(v, kept)
+
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=50))
     @settings(max_examples=30, deadline=None)
     def test_roundtrip_property(self, values):

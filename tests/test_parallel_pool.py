@@ -111,6 +111,23 @@ class TestPoolLifecycle:
             # ...and the rebuilt pool's workers were initialized once.
             assert pm.map(worker_init_count, range(4)) == [1] * 4
 
+    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    def test_heap_is_trimmed_once_before_each_process_pool(self, backend, monkeypatch):
+        """Forked workers count the parent's free heap as theirs, so every
+        process pool is built right after one trim; other backends never
+        trim."""
+        trims = []
+        monkeypatch.setattr(
+            "repro.parallel.trim_free_heap", lambda: trims.append(pm.pools_created)
+        )
+        with ParallelMap(backend, max_workers=1) as pm:
+            pm.map(_square, [1])
+            pm.map(_square, [2])
+            pm.register_worker_state("late", {"value": 7})
+            pm.map(_square, [3])
+        # each trim ran before its pool was counted (and so built)
+        assert trims == ([0, 1] if backend == "process" else [])
+
     def test_register_during_lazy_build_never_leaves_stale_state(
         self, monkeypatch
     ):
