@@ -1,4 +1,4 @@
-"""Parallel-round scaling: long-lived pools, batched engine, shm dispatch.
+"""Parallel-round scaling: long-lived pools, batched engine, pickled dispatch.
 
 Measures round throughput and per-round dispatch overhead for the three
 execution backends at several model sizes (workers start once, the dataset

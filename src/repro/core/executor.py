@@ -9,10 +9,11 @@ under ``core/``. :class:`GroupExecutor` decides *where* it is invoked:
   single-group rounds).
 * ``thread`` — on the pool's worker threads, against the same live runner.
 * ``process`` — in pool workers, against a telemetry-free copy of the
-  runner registered once per pool lifetime, so a task carries only a token,
-  the group, its RNG and two :class:`repro.shm.ShmView` descriptors (start
-  model out, group model back) — never client data; the trainer refreshes
-  the executor when drift mutates the population the workers hold.
+  runner registered once per pool lifetime, so a task pickles only a token,
+  the group, its RNG, the start model and the round index, and the worker
+  pickles back the group model and its fault events — never client data;
+  the trainer refreshes the executor when drift mutates the population the
+  workers hold.
 
 Results come back in submission order on every backend, so aggregation
 order — and with it every float — is the same wherever the groups ran.
@@ -34,7 +35,6 @@ from repro.faults import FaultEvent, FaultPlan
 from repro.grouping.base import Group
 from repro.nn.optim import SGD
 from repro.parallel import ParallelMap, worker_state
-from repro.shm import ShmChannel
 from repro.telemetry import NULL_TELEMETRY, Telemetry
 
 __all__ = ["GroupRunner", "GroupExecutor"]
@@ -136,20 +136,15 @@ class GroupRunner:
         return params, events
 
 
-def _run_in_worker(task: tuple) -> list[FaultEvent]:
-    """Pool-worker entry (module-level: picklable). The group model is
-    written to the task's result slot; only the fault events pickle back."""
-    token, group, rng, start, round_idx, slot = task
+def _run_in_worker(task: tuple) -> GroupResult:
+    """Pool-worker entry (module-level: picklable)."""
+    token, group, rng, start_params, round_idx = task
     runner: GroupRunner = worker_state(token)
     if runner.compressor is not None:
         # The registered runner outlives the task: ErrorFeedback residuals
         # must not accumulate across the groups that share a worker.
         runner = replace(runner, compressor=copy.deepcopy(runner.compressor))
-    # Zero-copy receive: run_group_round copies the start vector at once,
-    # so the view never outlives its ring slot.
-    params, events = runner.run(group, rng, start.resolve(), round_idx)
-    slot.resolve()[:] = params
-    return events
+    return runner.run(group, rng, start_params, round_idx)
 
 
 class GroupExecutor:
@@ -175,8 +170,6 @@ class GroupExecutor:
         self.pmap = parallel or ParallelMap(backend, telemetry=runner.telemetry)
         self.label = label
         self.token = f"executor/{label}/{next(_TOKENS)}"
-        #: shared-memory rings, created by the first process-pool dispatch
-        self._channel: ShmChannel | None = None
         self._closed = False
         self.refresh(runner)
 
@@ -189,8 +182,8 @@ class GroupExecutor:
             self.pmap.register_worker_state(self.token, self.runner.detached())
 
     def close(self) -> None:
-        """Shut the pool down if owned (else just unregister the runner)
-        and unlink the shared-memory segments. Idempotent."""
+        """Shut the pool down if owned, else just unregister the runner.
+        Idempotent."""
         if self._closed:
             return
         self._closed = True
@@ -198,21 +191,6 @@ class GroupExecutor:
             self.pmap.close()
         else:
             self.pmap.unregister_worker_state(self.token)
-        if self._channel is not None:
-            self._channel.close()
-            self._channel = None
-
-    def _shm_channel(self, num_params: int) -> ShmChannel:
-        if self._channel is None:
-            try:
-                self._channel = ShmChannel(num_params)
-            except OSError as exc:
-                raise RuntimeError(
-                    f"trainer {self.label!r}: the process backend moves models "
-                    f"through shared memory, which could not be created here "
-                    f"({exc!r}); use parallel_backend='thread'"
-                ) from exc
-        return self._channel
 
     def execute(
         self,
@@ -224,9 +202,7 @@ class GroupExecutor:
     ) -> list[GroupResult]:
         """Train ``selected`` from ``start_params``; one ``(group_params,
         fault_events)`` pair per group, in order. ``round_span_id`` parents
-        the group spans (worker threads have their own span stacks).
-        Shared-memory results are copied out of the ring, so a caller may
-        dispatch several times per round (clustered trainers do)."""
+        the group spans (worker threads have their own span stacks)."""
         runner = self.runner
 
         def run_here(item) -> GroupResult:
@@ -245,22 +221,15 @@ class GroupExecutor:
         if backend == "thread":
             return self.pmap.map(run_here, items)
 
-        channel = self._shm_channel(start_params.size)
-        start = channel.publish_params(start_params)
-        slots = channel.result_slots(len(items))
         tasks = [
-            (self.token, group, rng, start, round_idx, slot)
-            for (group, rng), slot in zip(items, slots)
+            (self.token, group, rng, start_params, round_idx)
+            for group, rng in items
         ]
         try:
-            events = self.pmap.map(_run_in_worker, tasks)
+            return self.pmap.map(_run_in_worker, tasks)
         except BrokenProcessPool as exc:
             raise RuntimeError(
                 f"trainer {self.label!r}: a process-pool worker died during "
                 f"round {round_idx}; the round's results are incomplete and "
                 "the pool is unusable — resume from the last checkpoint"
             ) from exc
-        return [
-            (np.array(channel.result_array(i)), group_events)
-            for i, group_events in enumerate(events)
-        ]

@@ -503,8 +503,7 @@ class GroupFELTrainer:
         )
 
     def close(self) -> None:
-        """Release the parallel pool (shut down if owned) and any
-        shared-memory dispatch segments. Idempotent."""
+        """Release the parallel pool (shut down if owned). Idempotent."""
         self.executor.close()
 
     def __enter__(self) -> "GroupFELTrainer":

@@ -9,7 +9,7 @@ so it maps cleanly onto an executor. Three backends are provided:
 * ``thread``  — ``ThreadPoolExecutor``; NumPy's BLAS kernels release the GIL,
   so matrix-heavy local training overlaps well.
 * ``process`` — ``ProcessPoolExecutor``; true multiprocess fan-out for large
-  models (work items must be picklable).
+  models. Work items and results cross the pool as pickles.
 
 Results are always returned **in submission order** regardless of backend so
 that aggregation order — and therefore floating-point results — is stable.
@@ -32,7 +32,7 @@ ships a payload to every worker **once per pool lifetime** via the process
 pool's initializer; tasks then carry only a registration token and call
 :func:`worker_state` inside the worker to look the payload up. The parent
 process keeps a mirror of the registry, so the same lookup works on the
-serial and thread backends (shared memory) without special-casing.
+serial and thread backends (one address space) without special-casing.
 
 Telemetry
 ---------
@@ -48,7 +48,6 @@ import os
 import threading
 import time
 from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from multiprocessing import resource_tracker
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro._heap import trim_free_heap
@@ -186,13 +185,6 @@ class ParallelMap:
                 max_workers=self.max_workers, thread_name_prefix="repro-pmap"
             )
         else:
-            # Workers forked before the parent's resource tracker exists
-            # start their own, which unlinks every shared-memory segment
-            # they attached when they exit — the live ring of a restarted
-            # pool among them. Started here, it is shared by every worker.
-            # (Windows has no tracker: a segment lives while it is mapped.)
-            if os.name == "posix":
-                resource_tracker.ensure_running()
             # A forked worker counts the parent's free heap as its own
             # resident memory; hand it back first (see repro._heap).
             trim_free_heap()

@@ -2,7 +2,8 @@
 registration, close semantics, and the guarantees ``repro.core.executor``
 builds on top (dataset shipped once per pool lifetime, dataset-free task
 pickles, live telemetry for single-group rounds, faulted replay on a
-process pool, loud failure when a worker dies).
+process pool, loud failure when a worker dies, no process or tracker left
+behind after ``close()``).
 """
 
 from __future__ import annotations
@@ -13,13 +14,17 @@ import hashlib
 import os
 import pickle
 import signal
+import subprocess
+import sys
 import threading
 import weakref
 from concurrent.futures.process import BrokenProcessPool
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.context import RunContext, activated
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.data.client_data import ClientDataset
@@ -48,8 +53,32 @@ def _model_fn_fatal_in_workers():
     return model_fn()
 
 
-def _shm_segments():
-    return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+# A process-backend run in a fresh interpreter: what it leaves behind
+# after close() — live children, a resource tracker, shared memory loaded.
+_CLEAN_EXIT_PROBE = """
+import functools, multiprocessing, sys
+import numpy as np
+from multiprocessing import resource_tracker
+from repro.core import GroupFELTrainer, TrainerConfig
+from repro.data import FederatedDataset, SyntheticImage
+from repro.grouping import CoVGrouping, group_clients_per_edge
+from repro.nn import make_mlp
+
+train, test = SyntheticImage(noise_std=2.0, seed=0).train_test(600, 100)
+fed = FederatedDataset.from_dataset(train, test, num_clients=8, alpha=0.3,
+                                    size_low=20, size_high=40, rng=1)
+groups = group_clients_per_edge(CoVGrouping(2, 0.5), fed.L, [np.arange(8)], rng=0)
+cfg = TrainerConfig(group_rounds=1, local_rounds=1, num_sampled=2, lr=0.05,
+                    max_rounds=2, seed=0, parallel_backend="process")
+trainer = GroupFELTrainer(functools.partial(make_mlp, 192, 10, hidden=(8,), seed=2),
+                          fed, groups, cfg)
+trainer.run()
+assert trainer.executor.pmap.pools_created == 1
+trainer.close()
+print(len(multiprocessing.active_children()),
+      resource_tracker._resource_tracker._pid,
+      "multiprocessing.shared_memory" in sys.modules)
+"""
 
 
 def _make_trainer(
@@ -382,13 +411,9 @@ class TestTrainerPoolIntegration:
 
 
 class TestExecutorFailurePaths:
-    def test_killed_worker_fails_the_run_and_leaks_no_segment(
-        self, small_fed, small_edges
-    ):
+    def test_killed_worker_fails_the_run_at_once(self, small_fed, small_edges):
         """A worker SIGKILLed mid-round must surface from ``run()`` at once
-        — no hang, no partial round — and ``close()`` must still unlink every
-        shared-memory segment the run created."""
-        before = _shm_segments()
+        — no hang, no partial round — and ``close()`` must still succeed."""
         trainer = _make_trainer(
             small_fed, small_edges, "process",
             model_fn=_model_fn_fatal_in_workers,
@@ -408,10 +433,23 @@ class TestExecutorFailurePaths:
             assert not runner.is_alive(), "run() hung after a worker died"
             assert len(outcome) == 1 and isinstance(outcome[0], RuntimeError)
             assert trainer.round_idx == 0  # the broken round never counted
-            assert _shm_segments() - before  # the round did open segments
         finally:
             trainer.close()
-        assert _shm_segments() <= before
+        assert not trainer.executor.pmap.has_live_pool
+
+    def test_closed_run_leaves_no_process_behind(self):
+        """After a process-backend ``run()`` and ``close()`` no pool worker is
+        alive, no resource tracker was ever started, and shared memory was
+        never loaded. Runs in a fresh interpreter, because earlier tests in
+        this process may have started a tracker or imported anything."""
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", _CLEAN_EXIT_PROBE],
+            capture_output=True, text=True, check=True, env=env, timeout=120,
+        )
+        assert out.stdout.split() == ["0", "None", "False"]
 
     def test_broken_pool_error_names_trainer_and_round(
         self, small_fed, small_edges
