@@ -1,12 +1,11 @@
-"""Hot-path speedups: incremental CoV-Grouping and vectorized SecAgg.
+"""Hot-path speedup: incremental CoV-Grouping.
 
-Times the two rewritten kernels against their golden references — the
+Times the rewritten grouping kernel against its golden reference — the
 verbatim Algorithm 2 transcription in
-``tests/oracles/cov_grouping_reference.py`` and
-``SecureAggregator.aggregate_reference`` — at the sizes the paper's §7
-experiments actually hit (grouping over an edge's client pool, SecAgg over
-one group), asserts the outputs are bit-identical, and writes
-``BENCH_hotpaths.json`` at the repo root.
+``tests/oracles/cov_grouping_reference.py`` — at the sizes the paper's §7
+experiments actually hit (grouping over an edge's client pool), asserts
+the partitions are identical, and writes ``BENCH_hotpaths.json`` at the
+repo root.
 
 The committed ``benchmarks/hotpaths_baseline.json`` stores the *speedup
 ratios* measured when the optimization landed; speedups are
@@ -27,15 +26,12 @@ import numpy as np
 
 from _util import run_once
 from repro.grouping import CoVGrouping
-from repro.secure import SecureAggregator, clear_seed_table_cache
 from tests.oracles.cov_grouping_reference import ReferenceCoVGrouping
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE", "0") == "1"
 REPEATS = 2 if SMOKE else 3
 GROUPING_SIZES = [50, 200, 800]
 GROUPING_CLASSES = 100  # CIFAR-100-style label space: the label-rich regime
-SECAGG_SIZES = [5, 20, 50]
-SECAGG_DIM = 2000
 # Fail the perf gate if a point's speedup drops >30% below its baseline.
 REGRESSION_TOLERANCE = 0.30
 OUT_PATH = Path(__file__).parents[1] / "BENCH_hotpaths.json"
@@ -90,38 +86,6 @@ def _bench_grouping():
     return rows
 
 
-def _bench_secagg():
-    rows = []
-    rng = np.random.default_rng(1)
-    agg = SecureAggregator()
-    for s in SECAGG_SIZES:
-        vecs = rng.normal(size=(s, SECAGG_DIM))
-        ref_s, ref_res = _best_of(lambda: agg.aggregate_reference(vecs, round_id=3))
-        clear_seed_table_cache()
-        # aggregate() sums the encodings (the masks cancel) and expands the
-        # masks only when masked_inputs is read, so that read is what is
-        # timed: the batched mask kernel against the scalar one. Its first
-        # read pays the seed-table derivation. A training run derives no
-        # table at all, since it reads only the total; warming the table
-        # once times the mask expansion alone.
-        agg.aggregate(vecs, round_id=3).masked_inputs
-        fast_s, fast_masked = _best_of(lambda: agg.aggregate(vecs, round_id=3).masked_inputs)
-        fast_res = agg.aggregate(vecs, round_id=3)
-        assert np.array_equal(fast_masked, ref_res.masked_inputs)
-        assert np.array_equal(fast_res.total, ref_res.total)
-        assert fast_res.mask_expansions == ref_res.mask_expansions
-        rows.append(
-            {
-                "group_size": s,
-                "dim": SECAGG_DIM,
-                "reference_s": ref_s,
-                "fast_s": fast_s,
-                "speedup": ref_s / fast_s,
-            }
-        )
-    return rows
-
-
 def _check_against_baseline(report):
     """The CI perf gate: each point's speedup vs the committed baseline."""
     if not BASELINE_PATH.exists():
@@ -129,25 +93,22 @@ def _check_against_baseline(report):
         return
     baseline = json.loads(BASELINE_PATH.read_text())
     floor = 1.0 - REGRESSION_TOLERANCE
-    checks = []
-    for kind, key in (("grouping", "num_clients"), ("secagg", "group_size")):
-        base_by = {row[key]: row["speedup"] for row in baseline.get(kind, [])}
-        for row in report[kind]:
-            want = base_by.get(row[key])
-            if want is None:
-                continue
-            checks.append((kind, row[key], row["speedup"], want))
-    for kind, size, got, want in checks:
-        print(f"perf gate {kind}@{size}: speedup {got:.2f}x vs baseline {want:.2f}x")
+    base_by = {row["num_clients"]: row["speedup"] for row in baseline["grouping"]}
+    for row in report["grouping"]:
+        size, got = row["num_clients"], row["speedup"]
+        want = base_by.get(size)
+        if want is None:
+            continue
+        print(f"perf gate grouping@{size}: speedup {got:.2f}x vs baseline {want:.2f}x")
         assert got >= floor * want, (
-            f"{kind} hot path regressed at size {size}: "
+            f"grouping hot path regressed at size {size}: "
             f"{got:.2f}x < {floor:.2f} × baseline {want:.2f}x"
         )
 
 
 def test_hotpath_speedups(benchmark):
     def sweep():
-        return {"grouping": _bench_grouping(), "secagg": _bench_secagg()}
+        return {"grouping": _bench_grouping()}
 
     results = run_once(benchmark, sweep)
 
@@ -155,17 +116,11 @@ def test_hotpath_speedups(benchmark):
     for r in results["grouping"]:
         print(f"{'grouping':>10} {r['num_clients']:>6} {r['reference_s']:>12.4f} "
               f"{r['incremental_s']:>10.4f} {r['speedup']:>7.2f}x")
-    for r in results["secagg"]:
-        print(f"{'secagg':>10} {r['group_size']:>6} {r['reference_s']:>12.4f} "
-              f"{r['fast_s']:>10.4f} {r['speedup']:>7.2f}x")
 
-    # The acceptance floor: ≥3× at the largest size of each kernel.
+    # The acceptance floor: ≥3× at the largest size.
     big_grouping = results["grouping"][-1]
-    big_secagg = results["secagg"][-1]
     assert big_grouping["num_clients"] == max(GROUPING_SIZES)
-    assert big_secagg["group_size"] == max(SECAGG_SIZES)
     assert big_grouping["speedup"] >= 3.0, big_grouping
-    assert big_secagg["speedup"] >= 3.0, big_secagg
 
     report = {
         "benchmark": "hotpaths",
@@ -173,7 +128,6 @@ def test_hotpath_speedups(benchmark):
         "repeats": REPEATS,
         "regression_tolerance": REGRESSION_TOLERANCE,
         "grouping": results["grouping"],
-        "secagg": results["secagg"],
     }
     _check_against_baseline(report)
     OUT_PATH.write_text(json.dumps(report, indent=1))

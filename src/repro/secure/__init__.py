@@ -10,20 +10,14 @@ calibrate the cost model.
   integers: each pair of clients derives a shared mask that cancels in the
   sum, so the server only ever sees masked vectors. Because they cancel,
   a training run's total is the ring sum of the encodings; the masked
-  vectors are derived only when read.
+  vectors are derived only when read, one mask per client and partner.
 * ``backdoor`` — a FLAME-style defense: pairwise cosine distances between
   client updates, clustering to drop outliers, median-norm clipping, and
   optional noise.
 """
 
 from repro.secure.quantize import FixedPointCodec
-from repro.secure.masking import (
-    batched_pair_masks,
-    clear_seed_table_cache,
-    pairwise_mask,
-    pairwise_seed,
-    pairwise_seed_table,
-)
+from repro.secure.masking import pairwise_mask, pairwise_seed
 from repro.secure.secagg import SecureAggregator, SecAggResult
 from repro.secure.backdoor import BackdoorDetector, DefenseReport
 from repro.secure.shamir import PRIME, reconstruct_secret, split_secret
@@ -33,9 +27,6 @@ __all__ = [
     "FixedPointCodec",
     "pairwise_mask",
     "pairwise_seed",
-    "pairwise_seed_table",
-    "batched_pair_masks",
-    "clear_seed_table_cache",
     "SecureAggregator",
     "SecAggResult",
     "BackdoorDetector",

@@ -12,12 +12,10 @@ the masks cancel exactly in the uint64 ring: the server's sum of the
 masked uploads is the ring sum of the plain encodings, bit for bit.
 :meth:`SecureAggregator.aggregate` computes ``total`` that way and
 expands no mask. The masked uploads, :attr:`SecAggResult.masked_inputs`,
-are derived on first read through the batched path
-(:func:`repro.secure.masking.pairwise_seed_table` +
-:func:`repro.secure.masking.accumulate_pair_masks`), bit-identical to the
-scalar reference path. ``mask_expansions`` and the telemetry counters
-count the *protocol's* work (two expansions per pair, the Θ(s²) quantity,
-and s·d·payload words masked) whether or not the masks are expanded; the
+are derived on first read by the protocol itself: every client expands
+the mask it shares with each partner, s(s−1) expansions. ``mask_expansions``
+and the telemetry counters count that work (the Θ(s²) quantity, and
+s·d·payload words masked) whether or not the masks are expanded; the
 cost model's constants come from timing the masked
 :meth:`SecureAggregator.aggregate_reference` (``costs.rpi``).
 """
@@ -30,12 +28,7 @@ from functools import cached_property, partial
 
 import numpy as np
 
-from repro.secure.masking import (
-    accumulate_pair_masks,
-    pairwise_mask,
-    pairwise_seed,
-    pairwise_seed_table,
-)
+from repro.secure.masking import pairwise_mask, pairwise_seed
 from repro.secure.quantize import FixedPointCodec
 from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
@@ -104,13 +97,23 @@ class SecureAggregator:
         return vectors
 
     def _mask(self, encoded: np.ndarray, round_id: int, session: int) -> np.ndarray:
-        """The masked uploads: a tiled copy of ``encoded`` with every pair
-        mask applied ± to its rows."""
+        """The masked uploads: a tiled copy of ``encoded`` in which client i
+        adds the mask it shares with each partner j > i and subtracts the
+        one it shares with each j < i. Every client expands its own masks,
+        s(s−1) ``Generator`` objects in all; uint64 wraparound is the ring
+        arithmetic."""
         masked = np.tile(encoded, (1, self.payload_factor))
-        s = masked.shape[0]
-        if s > 1:
-            lo, hi, seeds = pairwise_seed_table(round_id, s, session)
-            accumulate_pair_masks(masked, lo, hi, seeds)
+        s, masked_dim = masked.shape
+        for i in range(s):
+            row = masked[i]
+            for j in range(s):
+                if j == i:
+                    continue
+                mask = pairwise_mask(pairwise_seed(round_id, i, j, session), masked_dim)
+                if i < j:
+                    row += mask
+                else:
+                    row -= mask
         return masked
 
     def _finish(
@@ -159,35 +162,18 @@ class SecureAggregator:
         round_id: int = 0,
         session: int = 0,
     ) -> SecAggResult:
-        """The pre-vectorization implementation: one ``SeedSequence`` and
-        one ``Generator`` per (client, partner) mask expansion.
+        """Securely sum ``vectors`` the way the protocol's server does:
+        encode, mask (:meth:`_mask`), ring-sum the masked uploads, decode.
 
         Kept as the golden reference and the calibration subject:
-        ``costs.rpi`` times it for Figs. 2a/8, ``benchmarks/test_hotpaths.py``
-        measures the batched mask path's speedup against it, and the
-        equivalence tests assert that :meth:`aggregate` produces a
-        bit-identical total and masked matrix.
+        ``costs.rpi`` times it for Figs. 2a/8, and the equivalence tests
+        assert that :meth:`aggregate` produces a bit-identical total.
         """
         vectors = self._validate(vectors)
         s, dim = vectors.shape
-        masked_dim = dim * self.payload_factor
-        enc_all = np.tile(self.codec.encode(vectors), (1, self.payload_factor))
-        masked = np.zeros((s, masked_dim), dtype=np.uint64)
-        expansions = 0
-        for i in range(s):
-            acc = enc_all[i].copy()
-            for j in range(s):
-                if j == i:
-                    continue
-                mask = pairwise_mask(pairwise_seed(round_id, i, j, session), masked_dim)
-                expansions += 1
-                if i < j:
-                    acc += mask  # uint64 wraparound == ring addition
-                else:
-                    acc -= mask
-            masked[i] = acc
+        masked = self._mask(self.codec.encode(vectors), round_id, session)
         ring_sum = masked.sum(axis=0, dtype=np.uint64)
-        return self._finish(ring_sum, s, dim, expansions, lambda: masked)
+        return self._finish(ring_sum, s, dim, s * (s - 1), lambda: masked)
 
     def aggregate_weighted(
         self,

@@ -9,9 +9,6 @@ trains. The contract is that nothing observable changes:
 * the telemetry span tree stays per-round — a deferred evaluation's span
   parents under the round it evaluates, not whatever round is currently
   training;
-* the SecAgg pair-seed table hands out correct per-round tables under
-  concurrent access (round t+1's masking can race round t's deferred
-  work);
 * checkpoints written asynchronously resume exactly like synchronous ones;
 * exceptions raised on the pipeline thread surface from ``run()``.
 """
@@ -19,7 +16,6 @@ trains. The contract is that nothing observable changes:
 from __future__ import annotations
 
 import functools
-import threading
 
 import numpy as np
 import pytest
@@ -29,7 +25,6 @@ from repro.checkpoint import read_checkpoint
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.grouping import CoVGrouping, RandomGrouping, group_clients_per_edge
 from repro.nn import make_mlp
-from repro.secure.masking import _SEED_TABLE_CACHE, pairwise_seed_table
 from repro.telemetry import Telemetry
 
 # Module-level so the process backend can pickle it.
@@ -232,29 +227,3 @@ class TestPipelineErrors:
         finally:
             trainer.close()
 
-
-class TestSeedTableConcurrency:
-    def test_concurrent_rounds_get_correct_tables(self):
-        """Round t's deferred work may race round t+1's masking; every
-        thread must still see the exact per-round table."""
-        rounds, size, session = range(8), 6, 1
-        expected = {
-            r: pairwise_seed_table(r, size, session)[2].copy() for r in rounds
-        }
-        _SEED_TABLE_CACHE.clear()
-        mismatches: list[int] = []
-        barrier = threading.Barrier(4)
-
-        def worker():
-            barrier.wait()
-            for r in rounds:
-                _, _, seeds = pairwise_seed_table(r, size, session)
-                if not np.array_equal(seeds, expected[r]):
-                    mismatches.append(r)
-
-        threads = [threading.Thread(target=worker) for _ in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=10)
-        assert not mismatches

@@ -54,16 +54,22 @@ class TestRandomSweep:
                 assert np.array_equal(res.masked_inputs, ref.masked_inputs), case
 
 
+def _count_masks(monkeypatch):
+    """Record the length of every mask ``secagg`` expands."""
+    lengths = []
+    pairwise_mask = secagg_module.pairwise_mask
+
+    def counting(seed, dim):
+        lengths.append(dim)
+        return pairwise_mask(seed, dim)
+
+    monkeypatch.setattr(secagg_module, "pairwise_mask", counting)
+    return lengths
+
+
 class TestMasksExpandOnlyWhenRead:
     def test_total_mean_and_counters_expand_no_mask(self, monkeypatch):
-        expansions = []
-        accumulate = secagg_module.accumulate_pair_masks
-
-        def counting(*args):
-            expansions.append(len(args[3]))
-            return accumulate(*args)
-
-        monkeypatch.setattr(secagg_module, "accumulate_pair_masks", counting)
+        expansions = _count_masks(monkeypatch)
         tel = Telemetry()
         agg = SecureAggregator(payload_factor=2, telemetry=tel)
         vecs = np.random.default_rng(0).normal(size=(6, 40))
@@ -78,9 +84,20 @@ class TestMasksExpandOnlyWhenRead:
         assert expansions == []
 
         masked = res.masked_inputs
-        assert expansions == [15]  # one stream per pair, applied with both signs
+        assert len(expansions) == 30  # one mask per (client, partner)
         assert res.masked_inputs is masked
-        assert expansions == [15]
+        assert len(expansions) == 30
+
+    @pytest.mark.parametrize("payload_factor", [1, 2])
+    @pytest.mark.parametrize("s", [2, 5])
+    def test_reference_expands_every_clients_masks(self, monkeypatch, s, payload_factor):
+        """The calibration subject does the protocol's work: s(s−1) masks,
+        each as long as the masked payload."""
+        expansions = _count_masks(monkeypatch)
+        dim = 7
+        vecs = np.random.default_rng(s).normal(size=(s, dim))
+        SecureAggregator(payload_factor=payload_factor).aggregate_reference(vecs, round_id=1)
+        assert expansions == [dim * payload_factor] * (s * (s - 1))
 
 
 class TestDropoutRecovery:

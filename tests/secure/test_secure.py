@@ -165,6 +165,16 @@ class TestSecureAggregator:
         b = SecureAggregator().aggregate(vecs, round_id=9)
         assert np.array_equal(a.masked_inputs, b.masked_inputs)
 
+    def test_session_separates_streams(self):
+        rng = np.random.default_rng(4)
+        vecs = rng.normal(size=(5, 30))
+        agg = SecureAggregator()
+        a = agg.aggregate(vecs, round_id=0, session=1)
+        b = agg.aggregate(vecs, round_id=0, session=2)
+        # Different sessions, different masks — but identical decoded sums.
+        assert not np.array_equal(a.masked_inputs, b.masked_inputs)
+        assert np.allclose(a.total, b.total, atol=1e-6)
+
     @given(st.integers(1, 8), st.integers(1, 40))
     @settings(max_examples=20, deadline=None)
     def test_masks_cancel_property(self, s, dim):
