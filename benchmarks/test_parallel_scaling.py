@@ -1,7 +1,7 @@
 """Parallel-round scaling: long-lived pools, batched engine, pickled dispatch.
 
-Measures round throughput and per-round dispatch overhead for the three
-execution backends at several model sizes (workers start once, the dataset
+Measures round throughput and per-round dispatch overhead for the serial
+and process backends at several model sizes (workers start once, the dataset
 ships once, per-round dispatch is the slim task tuple of
 ``repro.core.executor``). A second sweep times the stacked batched training
 engine (``repro.nn.batched``) against the per-client reference loop at
@@ -239,7 +239,7 @@ def test_persistent_pool_scaling(benchmark):
     def sweep():
         rows = []
         for hidden in HIDDEN_SIZES:
-            for backend in ("serial", "thread", "process"):
+            for backend in ("serial", "process"):
                 rows.append(_run_config(fed, groups, hidden, backend))
         return rows, _bench_engine()
 
@@ -263,11 +263,9 @@ def test_persistent_pool_scaling(benchmark):
     ratio_rows = []
     for hidden in HIDDEN_SIZES:
         serial = by[("serial", hidden)]
-        thread = by[("thread", hidden)]
         proc = by[("process", hidden)]
         # Structural: pools are built once for the whole run.
         assert serial["pools_created"] == 0
-        assert thread["pools_created"] == 1
         assert proc["pools_created"] == 1
         ratio_rows.append(
             {

@@ -14,7 +14,7 @@ The script asserts that the resumed run's accuracy/cost curves, final
 model parameters, and fault-replay signature all match the golden run
 exactly, and exits nonzero on any mismatch — CI runs it as a smoke test.
 
-    python examples/resume_run.py [--backend serial|thread|process]
+    python examples/resume_run.py [--backend serial|process]
 """
 
 import argparse
@@ -96,7 +96,7 @@ def fingerprint(trainer, history):
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--backend", default="serial",
-                        choices=["serial", "thread", "process"])
+                        choices=["serial", "process"])
     args = parser.parse_args()
 
     fed, groups = make_workload()

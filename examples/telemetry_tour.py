@@ -3,7 +3,7 @@
 Trains a small federation twice. The first run passes a ``Telemetry``
 facade straight to the trainer and inspects the span tree (``round >
 group > client_update / secagg``), the run counters (bytes aggregated,
-Γ_p, per-round cost), and the exports (JSONL / CSV / Prometheus text).
+Γ_p, per-round cost), and the JSONL export.
 The second run shows the run-context style —
 ``with activated(RunContext(telemetry=tel)):`` — that the CLI's
 ``--telemetry`` flag uses to reach trainers buried inside figure
@@ -31,7 +31,7 @@ from repro import (
     paper_cost_model,
 )
 from repro.context import activated
-from repro.telemetry import load_jsonl, parse_prometheus
+from repro.telemetry import load_jsonl
 
 NUM_CLIENTS = 24
 NUM_EDGES = 2
@@ -93,16 +93,15 @@ def main() -> None:
     print(f"  round_cost (histogram)       mean {cost.mean:.0f}  "
           f"p100 {cost.percentile(100):.0f}")
 
-    # ---- 2. Exports: JSONL (lossless), CSV, Prometheus text. ---------------
+    # ---- 2. Export: the JSONL trace (lossless), and a metrics snapshot. ----
     with tempfile.TemporaryDirectory() as tmp:
         jsonl = Path(tmp) / "trace.jsonl"
         n = tel.to_jsonl(str(jsonl))
         records = load_jsonl(str(jsonl))
         print(f"\nJSONL: {n} records "
               f"({len(records['span'])} spans, {len(records['counter'])} counters)")
-        prom = tel.to_prometheus()
-        sampled = parse_prometheus(prom)["repro_groups_sampled"]
-        print(f"Prometheus: repro_groups_sampled = {sampled:.0f}")
+    sampled = tel.metrics.snapshot()["counters"]["groups_sampled"]
+    print(f"snapshot: groups_sampled = {sampled:.0f}")
 
     # ---- 3. Run-context style + callback-driven summary. ------------------
     # `activated` installs the context process-wide; any trainer built

@@ -84,7 +84,6 @@ from repro.faults import (
 )
 from repro.grouping import (
     CDGGrouping,
-    CoVGammaGrouping,
     CoVGrouping,
     Group,
     KLDGrouping,
@@ -164,7 +163,6 @@ __all__ = [
     "RandomGrouping",
     "CDGGrouping",
     "KLDGrouping",
-    "CoVGammaGrouping",
     "cov_of_counts",
     "group_clients_per_edge",
     # sampling

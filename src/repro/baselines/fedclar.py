@@ -63,11 +63,6 @@ class FedCLARTrainer(GroupFELTrainer):
             raise ValueError(f"cluster_round must be >= 1, got {cluster_round}")
         if num_clusters < 2:
             raise ValueError(f"num_clusters must be >= 2, got {num_clusters}")
-        if self.sampler.adaptive is not None:
-            raise ValueError(
-                "FedCLAR's cluster rounds draw no sample to feed an adaptive "
-                f"sampling_method ({self.config.sampling_method!r})"
-            )
         self.cluster_round = int(cluster_round)
         self.num_clusters = int(num_clusters)
         self.cluster_models: dict[int, np.ndarray] | None = None

@@ -69,7 +69,6 @@ def capture_state(trainer: "GroupFELTrainer") -> dict:
         "groups": copy.deepcopy(trainer.groups),
         "sampled_history": copy.deepcopy(trainer.sampled_history),
         "strategy": trainer.strategy.state_dict(),
-        "sampler_adaptive": trainer.sampler.adaptive_state_dict(),
         "history": trainer.history.state_dict(),
         "ledger": {
             "round_costs": list(trainer.ledger.round_costs),
@@ -93,17 +92,13 @@ def restore_state(trainer: "GroupFELTrainer", state: dict) -> None:
     The sampler is rebuilt by the trainer's own constructor from the
     restored groups (its probability vector and sampling scheme are pure
     functions of them and the config) with its RNG stream restored
-    directly, so the next draw matches the interrupted run's; an
-    ``adaptive`` sampler additionally restores its norm-EMA estimator,
-    replaying the probability trajectory exactly.
+    directly, so the next draw matches the interrupted run's.
     """
     trainer.round_idx = int(state["round_idx"])
     trainer.global_params = np.array(state["global_params"], copy=True)
     trainer.rng = restore_generator(state["rng"])
     trainer.groups = list(state["groups"])
     trainer.sampler = trainer._make_sampler(restore_generator(state["sampler_rng"]))
-    if trainer.sampler.adaptive is not None:
-        trainer.sampler.load_adaptive_state_dict(state.get("sampler_adaptive"))
     trainer.sampled_history = list(state["sampled_history"])
     trainer.strategy.load_state_dict(state["strategy"])
     trainer.history.load_state_dict(state["history"])

@@ -147,8 +147,8 @@ class TelemetryCallback(Callback):
         Explicit :class:`repro.telemetry.Telemetry`; default None uses the
         trainer's own (``trainer.telemetry``). A disabled telemetry makes
         every hook a no-op.
-    jsonl_path / csv_path / prometheus_path:
-        When set, the corresponding export is written on ``on_train_end``.
+    jsonl_path:
+        When set, the JSONL trace is written on ``on_train_end``.
     summary_printer:
         Callable receiving the ASCII span/metric summary at train end
         (e.g. ``print``).
@@ -158,14 +158,10 @@ class TelemetryCallback(Callback):
         self,
         telemetry: Telemetry | None = None,
         jsonl_path: str | None = None,
-        csv_path: str | None = None,
-        prometheus_path: str | None = None,
         summary_printer=None,
     ):
         self.telemetry = telemetry
         self.jsonl_path = jsonl_path
-        self.csv_path = csv_path
-        self.prometheus_path = prometheus_path
         self.summary_printer = summary_printer
 
     def _tel(self, trainer) -> Telemetry:
@@ -209,11 +205,6 @@ class TelemetryCallback(Callback):
         )
         if self.jsonl_path:
             tel.to_jsonl(self.jsonl_path)
-        if self.csv_path:
-            tel.to_csv(self.csv_path)
-        if self.prometheus_path:
-            with open(self.prometheus_path, "w") as fh:
-                fh.write(tel.to_prometheus())
         if self.summary_printer is not None:
             self.summary_printer(tel.summary())
 

@@ -7,7 +7,6 @@ under ``core/``. :class:`GroupExecutor` decides *where* it is invoked:
 
 * ``serial`` — in the calling thread (on every backend for SCAFFOLD and
   single-group rounds).
-* ``thread`` — on the pool's worker threads, against the same live runner.
 * ``process`` — in pool workers, against a telemetry-free copy of the
   runner registered once per pool lifetime, so a task pickles only a token,
   the group, its RNG, the start model and the round index, and the worker
@@ -92,7 +91,6 @@ class GroupRunner:
         rng: np.random.Generator,
         start_params: np.ndarray,
         round_idx: int,
-        parent_span_id: int | None = None,
     ) -> GroupResult:
         """Train ``group`` for one global round from ``start_params``, on a
         fresh model + optimizer so no optimizer state (momentum buffers,
@@ -128,7 +126,6 @@ class GroupRunner:
             dropout_aggregator=self.dropout_aggregator,
             update_transforms=self.attackers or None,
             telemetry=self.telemetry,
-            parent_span_id=parent_span_id,
             fault_plan=self.fault_plan,
             fault_events=events,
             engine=cfg.engine,
@@ -198,28 +195,17 @@ class GroupExecutor:
         rngs: list[np.random.Generator],
         start_params: np.ndarray,
         round_idx: int,
-        round_span_id: int | None = None,
     ) -> list[GroupResult]:
         """Train ``selected`` from ``start_params``; one ``(group_params,
-        fault_events)`` pair per group, in order. ``round_span_id`` parents
-        the group spans (worker threads have their own span stacks)."""
+        fault_events)`` pair per group, in order."""
         runner = self.runner
-
-        def run_here(item) -> GroupResult:
-            group, rng = item
-            return runner.run(
-                group, rng, start_params, round_idx, parent_span_id=round_span_id
-            )
-
         items = list(zip(selected, rngs))
         backend = self.pmap.backend
         # SCAFFOLD mutates shared control-variate state per client, and a
         # single group has nothing to overlap with (the process path would
         # also lose its spans and counters): both run in the caller.
         if backend == "serial" or len(items) <= 1 or runner.strategy.name == "scaffold":
-            return [run_here(item) for item in items]
-        if backend == "thread":
-            return self.pmap.map(run_here, items)
+            return [runner.run(g, rng, start_params, round_idx) for g, rng in items]
 
         tasks = [
             (self.token, group, rng, start_params, round_idx)

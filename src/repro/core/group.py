@@ -105,7 +105,6 @@ def run_group_round(
     dropout_aggregator=None,
     update_transforms: dict | None = None,
     telemetry: Telemetry | None = None,
-    parent_span_id: int | None = None,
     fault_plan=None,
     fault_events: list | None = None,
     engine: str = "auto",
@@ -157,12 +156,11 @@ def run_group_round(
         the ban list and the detector like any other round. The protocol's
         session is every member that uploaded: post-masking drops go in as
         ``dropped``, banned or flagged uploaders as zero-input shareholders.
-    telemetry / parent_span_id:
+    telemetry:
         Optional :class:`repro.telemetry.Telemetry`: the whole call is
         timed as a ``group`` span with ``client_update`` / ``secagg`` /
-        ``backdoor`` / ``aggregate`` children. ``parent_span_id`` stitches
-        the span under the trainer's ``round`` span when this call runs on
-        a pool worker thread (thread-local nesting covers the serial path).
+        ``backdoor`` / ``aggregate`` children, nested under whatever span
+        is open in the calling thread (the trainer's ``round``).
     fault_plan / fault_events:
         Optional :class:`repro.faults.FaultPlan`: every group round asks
         the plan (pure, keyed decisions) which clients drop — ``before``
@@ -221,8 +219,7 @@ def run_group_round(
             cid = None if idx is None else members[idx].client_id
             fault_events.append(FaultEvent(kind, round_id, gid, cid, k, phase, **extra))
 
-    with tel.span("group", parent_id=parent_span_id, group_id=gid,
-                  edge_id=group.edge_id, size=s):
+    with tel.span("group", group_id=gid, edge_id=group.edge_id, size=s):
         for k in range(group_rounds):
             # ---- 1. fault-plan decisions (pure, keyed by ids) -------------
             # Decided before training so a 'before' dropout skips compute.

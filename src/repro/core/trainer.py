@@ -49,7 +49,7 @@ from repro.parallel import ParallelMap, available_backends
 from repro.population import PopulationEngine, PopulationModel, PopulationTrace
 from repro.rng import derive_seed, make_rng
 from repro.sampling.probability import WEIGHT_FUNCTIONS
-from repro.sampling.sampler import ADAPTIVE_METHODS, AggregationMode, GroupSampler
+from repro.sampling.sampler import AggregationMode, GroupSampler
 from repro.sampling.schemes import SCHEMES
 from repro.secure.backdoor import BackdoorDetector
 from repro.secure.secagg import SecureAggregator
@@ -160,7 +160,7 @@ class TrainerConfig:
                 f"engine must be 'auto', 'batched' or 'reference', "
                 f"got {self.engine!r}"
             )
-        known_sampling = ("random", *sorted(WEIGHT_FUNCTIONS), *ADAPTIVE_METHODS)
+        known_sampling = ("random", *sorted(WEIGHT_FUNCTIONS), "varopt")
         if self.sampling_method not in known_sampling:
             raise ValueError(
                 f"sampling_method must be one of {sorted(known_sampling)}, "
@@ -450,7 +450,7 @@ class GroupFELTrainer:
         #: evaluation of round t parents its span here so the span tree
         #: stays per-round even when the eval overlaps round t+1
         self._last_round_span_id: int | None = None
-        #: where and how the sampled groups run (serial/thread/process)
+        #: where and how the sampled groups run (serial/process)
         self.executor = GroupExecutor(
             self._group_runner(),
             parallel=parallel if parallel is not None else context.parallel,
@@ -530,7 +530,7 @@ class GroupFELTrainer:
     def _make_sampler(self, rng: np.random.Generator | None = None) -> GroupSampler:
         """The config's sampler over the groups; ``rng`` (a checkpoint's
         restored stream) defaults to a fresh child of the trainer's."""
-        sampler = GroupSampler(
+        return GroupSampler(
             self.groups,
             method=self.config.sampling_method,
             num_sampled=min(self.config.num_sampled, len(self.groups)),
@@ -540,17 +540,6 @@ class GroupFELTrainer:
             telemetry=self.telemetry,
             scheme=self.config.sampling_scheme,
         )
-        if (
-            sampler.adaptive is not None
-            and getattr(self, "sampler", None) is not None
-            and self.sampler.adaptive is not None
-        ):
-            # Regrouping/churn rebuilt the partition: group identities are
-            # new, but the learned norm *scale* carries over as the prior.
-            state = self.sampler.adaptive.state_dict()
-            sampler.adaptive.load_state_dict(state)
-            sampler.adaptive.resize(len(self.groups))
-        return sampler
 
     @property
     def population_trace(self) -> PopulationTrace:
@@ -664,18 +653,15 @@ class GroupFELTrainer:
         routes = self._route(selected)
         group_rngs = self.rng.spawn(len(selected))
         unbiased = self.config.aggregation_mode is AggregationMode.UNBIASED
-        norms = np.empty(len(selected))
         for m in sorted(set(routes)):
             idx = [i for i, r in enumerate(routes) if r == m]
             results = self.executor.execute(
                 [selected[i] for i in idx], [group_rngs[i] for i in idx],
-                models[m], self.round_idx, self._last_round_span_id,
+                models[m], self.round_idx,
             )
             stacked = np.vstack([params for params, _ in results])
             for _, events in results:
                 round_events.extend(events)
-            if self.sampler.adaptive is not None:
-                norms[idx] = np.linalg.norm(stacked - models[m], axis=1)
             with tel.span("cloud_aggregate", model=m, num_groups=len(idx)):
                 models[m] = weighted_average(
                     stacked, weights[idx], normalize=len(models) > 1 or not unbiased
@@ -683,11 +669,6 @@ class GroupFELTrainer:
             if tel.enabled:
                 tel.inc("cloud_bytes_aggregated", float(stacked.nbytes))
                 tel.inc("cloud_params_averaged", float(stacked.size))
-        # Heterogeneity-guided feedback (adaptive samplers only): observed
-        # ‖Δ_g‖ refines the variance-optimal p for the *next* round's draw.
-        # Norms are pure functions of the (bit-identical) group models, so
-        # the p trajectory replays on every backend.
-        self.sampler.observe_update_norms(selected, norms)
         self._adopt(models)
 
     def _on_groups_changed(self) -> None:
@@ -746,10 +727,9 @@ class GroupFELTrainer:
                     selected, weights
                 )
             self.sampled_history.append(selected)
-            # Worker threads have their own span stacks; hand them the round
-            # span's id so group spans still parent correctly. The pipeline
-            # thread later parents this round's deferred evaluation here
-            # too, keeping the span tree per-round under overlap.
+            # The pipeline thread later parents this round's deferred
+            # evaluation under this round's span, keeping the span tree
+            # per-round under overlap.
             self._last_round_span_id = tel.current_span_id()
             self._train(selected, weights, round_events)
             self._meter_faults(round_events)

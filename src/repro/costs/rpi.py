@@ -71,7 +71,7 @@ class RPiEmulator:
         Multiplier converting local seconds to RPi-4 seconds (an RPi 4 is
         roughly 30–100× slower than a server core on NumPy workloads).
     repeats:
-        Timing repetitions per point (median taken).
+        Timing repetitions per point (the minimum is kept; see ``_time``).
     """
 
     def __init__(
@@ -146,9 +146,10 @@ class RPiEmulator:
         Times :meth:`SecureAggregator.aggregate_reference` — the
         protocol-faithful path where every client expands each of its
         |g|−1 pair masks itself, which is the Θ(|g|²·d) per-device work
-        the cost model calibrates.  The simulator's batched hot path
-        dedups mask expansions across the group and would understate what
-        one RPi actually computes.
+        the cost model calibrates.  A training round's
+        :meth:`SecureAggregator.aggregate` expands no mask at all (the
+        masks cancel, so it decodes the ring sum of the encodings), and
+        timing it would miss what one RPi actually computes.
         """
         agg = SecureAggregator(payload_factor=payload_factor)
         sizes = np.asarray(group_sizes, dtype=np.int64)

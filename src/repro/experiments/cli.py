@@ -112,7 +112,7 @@ def main(argv: list[str] | None = None) -> int:
         metavar="BACKEND[:N]",
         default=None,
         help="run group rounds on one shared worker pool: "
-        "'serial', 'thread', 'process', optionally with a worker count "
+        "'serial' or 'process', optionally with a worker count "
         "(e.g. 'process:4'). Every trainer the target constructs reuses "
         "the pool; it is closed when the run finishes.",
     )

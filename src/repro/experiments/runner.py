@@ -105,8 +105,8 @@ def run_methods(
 ) -> dict[str, TrainingHistory]:
     """Run several methods over the same workload (same data, same budget).
 
-    On a pooled backend (``workload.trainer_config.parallel_backend`` of
-    ``thread``/``process``) one shared :class:`ParallelMap` is built for the
+    On the process backend (``workload.trainer_config.parallel_backend``
+    of ``process``) one shared :class:`ParallelMap` is built for the
     whole sweep — workers start once, not once per method — and closed at
     the end. Pass ``parallel`` to reuse an even longer-lived pool.
 
@@ -182,7 +182,7 @@ def run_combo(
     """Run an arbitrary grouping × sampling combination (Fig. 12's axes).
 
     ``sampling_method`` picks the probability construction (Eq. 34 CoV
-    weights, ``varopt``, or ``adaptive``); ``sampling_scheme`` the draw
+    weights or ``varopt``); ``sampling_scheme`` the draw
     mechanics (``sequential_wor``/``multinomial``/``stratified`` — None
     keeps the workload config's scheme).
     """

@@ -10,7 +10,7 @@ so decisions are pure functions of *where* they are asked, never of *when*
 or *in which order*. That single property buys all three hard guarantees:
 
 * **deterministic replay** — same seed ⇒ same fault trace, bit for bit;
-* **backend independence** — serial / thread / process executors ask in
+* **backend independence** — serial and process executors ask in
   different orders and from different workers, and still get identical
   answers;
 * **composability** — injectors draw from disjoint streams, so adding a

@@ -4,9 +4,9 @@ Every injected fault becomes a :class:`FaultEvent` appended to the run's
 :class:`FaultTrace`. Because injector decisions are pure functions of
 ``(plan seed, kind, round, group, k, client)`` (see ``repro.faults.plan``),
 two runs with the same seed produce the same event *set* regardless of the
-execution backend — only the append order differs across thread/process
-schedules. :meth:`FaultTrace.signature` therefore hashes the canonically
-sorted events, giving a backend-independent replay fingerprint.
+execution backend. :meth:`FaultTrace.signature` hashes the canonically
+sorted events, so the replay fingerprint does not depend on the order in
+which events were appended either.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from repro.grouping.random_grouping import RandomGrouping
 from repro.grouping.cdg import CDGGrouping
 from repro.grouping.fedgroup import FedGroupGrouping
 from repro.grouping.kldg import KLDGrouping
-from repro.grouping.extensions import CoVGammaGrouping
 from repro.grouping.metrics import GroupingReport, evaluate_grouping, make_grouper
 
 __all__ = [
@@ -35,7 +34,6 @@ __all__ = [
     "CDGGrouping",
     "FedGroupGrouping",
     "KLDGrouping",
-    "CoVGammaGrouping",
     "GroupingReport",
     "evaluate_grouping",
     "make_grouper",

@@ -74,14 +74,11 @@ def make_grouper(name: str, **kwargs) -> Grouper:
     accepts its own size-control knob (``min_group_size`` for the greedy
     algorithms, ``group_size`` for RG/CDG).
     """
-    from repro.grouping.extensions import CoVGammaGrouping
-
     registry = {
         "covg": CoVGrouping,
         "rg": RandomGrouping,
         "cdg": CDGGrouping,
         "kldg": KLDGrouping,
-        "covg_gamma": CoVGammaGrouping,
         "fedgroup": FedGroupGrouping,
     }
     try:

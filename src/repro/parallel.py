@@ -3,15 +3,13 @@
 Algorithm 1 trains the sampled groups of a global round *in parallel*
 ("for group g in S_t do ⊲ in parallel"). In this simulator each group's
 round is an independent pure function of ``(global model, group state)``,
-so it maps cleanly onto an executor. Three backends are provided:
+so it maps cleanly onto an executor. Two backends are provided:
 
 * ``serial``  — plain loop; the default, fully deterministic, zero overhead.
-* ``thread``  — ``ThreadPoolExecutor``; NumPy's BLAS kernels release the GIL,
-  so matrix-heavy local training overlaps well.
-* ``process`` — ``ProcessPoolExecutor``; true multiprocess fan-out for large
-  models. Work items and results cross the pool as pickles.
+* ``process`` — ``ProcessPoolExecutor``; true multiprocess fan-out. Work
+  items and results cross the pool as pickles.
 
-Results are always returned **in submission order** regardless of backend so
+Results are always returned **in submission order** on both backends so
 that aggregation order — and therefore floating-point results — is stable.
 
 Pool lifetime
@@ -32,7 +30,7 @@ ships a payload to every worker **once per pool lifetime** via the process
 pool's initializer; tasks then carry only a registration token and call
 :func:`worker_state` inside the worker to look the payload up. The parent
 process keeps a mirror of the registry, so the same lookup works on the
-serial and thread backends (one address space) without special-casing.
+serial backend without special-casing.
 
 Telemetry
 ---------
@@ -47,7 +45,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import Executor, ProcessPoolExecutor
 from typing import Any, Callable, Sequence, TypeVar
 
 from repro._heap import trim_free_heap
@@ -63,7 +61,7 @@ __all__ = [
     "worker_init_count",
 ]
 
-_BACKENDS = ("serial", "thread", "process")
+_BACKENDS = ("serial", "process")
 
 
 def available_backends() -> tuple[str, ...]:
@@ -77,7 +75,7 @@ def available_backends() -> tuple[str, ...]:
 # In a worker process this dict is populated exactly once, by
 # ``_pool_initializer`` when the pool spawns the worker. In the parent
 # process ``ParallelMap.register_worker_state`` keeps a mirror so lookups
-# also resolve on the serial/thread backends.
+# also resolve on the serial backend.
 _WORKER_STATE: dict[str, Any] = {}
 
 #: times ``_pool_initializer`` ran in *this* process — 0 in the parent,
@@ -117,7 +115,7 @@ def worker_init_count(_: Any = None) -> int:
 class _StarCall:
     """Picklable adapter that unpacks a tuple into positional arguments.
 
-    A lambda would work for the serial/thread backends but cannot be sent
+    A lambda would work for the serial backend but cannot be sent
     to a ``ProcessPoolExecutor`` worker; a module-level class instance can
     (as long as ``fn`` itself is picklable).
     """
@@ -137,9 +135,9 @@ class ParallelMap:
     Parameters
     ----------
     backend:
-        One of ``"serial"``, ``"thread"``, ``"process"``.
+        ``"serial"`` or ``"process"``.
     max_workers:
-        Worker count for pooled backends. Defaults to ``os.cpu_count()``
+        Worker count for the process backend. Defaults to ``os.cpu_count()``
         capped at 8 (group counts per round are small; more workers only add
         startup cost — profile before raising, per the optimization guide).
     telemetry:
@@ -180,22 +178,17 @@ class ParallelMap:
 
     def _new_executor(self) -> Executor:
         t0 = time.perf_counter()
-        if self.backend == "thread":
-            ex: Executor = ThreadPoolExecutor(
-                max_workers=self.max_workers, thread_name_prefix="repro-pmap"
-            )
-        else:
-            # A forked worker counts the parent's free heap as its own
-            # resident memory; hand it back first (see repro._heap).
-            trim_free_heap()
-            # Worker state ships once, through the initializer, to every
-            # worker this pool ever spawns. (Executor construction is cheap;
-            # actual process spawn cost lands in the first dispatch.)
-            ex = ProcessPoolExecutor(
-                max_workers=self.max_workers,
-                initializer=_pool_initializer,
-                initargs=(dict(self._state),),
-            )
+        # A forked worker counts the parent's free heap as its own
+        # resident memory; hand it back first (see repro._heap).
+        trim_free_heap()
+        # Worker state ships once, through the initializer, to every
+        # worker this pool ever spawns. (Executor construction is cheap;
+        # actual process spawn cost lands in the first dispatch.)
+        ex = ProcessPoolExecutor(
+            max_workers=self.max_workers,
+            initializer=_pool_initializer,
+            initargs=(dict(self._state),),
+        )
         self.pools_created += 1
         tel = self.telemetry
         if tel.enabled:
@@ -215,7 +208,7 @@ class ParallelMap:
         """Register a one-time payload shipped to every worker of this pool.
 
         The payload is also mirrored into the parent-side registry so
-        :func:`worker_state` resolves on the serial/thread backends. If a
+        :func:`worker_state` resolves on the serial backend. If a
         process pool is already live, it is shut down and lazily rebuilt on
         the next ``map`` so the new state reaches fresh workers — register
         *before* the first dispatch to keep the one-startup guarantee.
@@ -234,8 +227,7 @@ class ParallelMap:
                 raise RuntimeError("ParallelMap is closed")
             self._state[token] = payload
             _WORKER_STATE[token] = payload
-            if self.backend == "process":
-                stale, self._executor = self._executor, None
+            stale, self._executor = self._executor, None
         if stale is not None:
             stale.shutdown(wait=True)
 
@@ -273,7 +265,7 @@ class ParallelMap:
     def map(self, fn: Callable[[T], R], items: Sequence[T]) -> list[R]:
         """Apply ``fn`` to every item, returning results in input order.
 
-        Pooled backends always dispatch to the pool — there is no silent
+        The process backend always dispatches to the pool — there is no silent
         in-process fallback for short item lists, so worker-side effects
         (telemetry routing, worker-state lookups) are the same for one task
         as for many. Callers that want live-telemetry semantics for tiny

@@ -9,8 +9,8 @@ the stable identifiers of the site::
 
 so decisions are pure functions of *where* they are asked, never of *when*
 or *in which order*. That buys deterministic replay (same seed ⇒ same
-population trace, bit for bit), backend independence (serial / thread /
-process trainers see identical populations), and composability (each
+population trace, bit for bit), backend independence (serial and process
+trainers see identical populations), and composability (each
 dynamic draws from a disjoint stream).
 
 A model is picklable (seed + frozen dynamic dataclasses); the correlated-

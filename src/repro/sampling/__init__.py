@@ -2,18 +2,17 @@
 
 ``probability`` computes the sampling vector p from group CoVs (Eq. 34)
 with the paper's three weight functions (RCoV, SRCoV, ESRCoV) or uniform,
-plus the closed-form variance-optimal p* ∝ n_g·‖x_g‖; ``schemes`` defines
-how S_t is drawn from p (sequential without replacement, multinomial with
-replacement, or stratified one-per-stratum); ``inclusion`` computes the
-inclusion probabilities π_g of the sequential WOR draw (a deterministic
-quadrature over the exponential-race time); ``adaptive`` re-estimates
-update-norm importance online; ``sampler`` binds it all into the
-cloud-side :class:`GroupSampler` and the aggregation weights (plain,
-unbiased Horvitz–Thompson ``n_g/(n·α_g)``, or the stabilized
-normalization of Eq. 35).
+plus the closed-form variance-optimal p* ∝ n_g (Fraboni's p* ∝ n_g·‖x_g‖
+with unit norms); ``schemes`` defines how S_t is drawn from p (sequential
+without replacement, multinomial with replacement, or stratified
+one-per-stratum); ``inclusion`` computes the inclusion probabilities π_g
+of the sequential WOR draw (a deterministic quadrature over the
+exponential-race time); ``sampler`` binds it all into the cloud-side
+:class:`GroupSampler` and the aggregation weights (plain, unbiased
+Horvitz–Thompson ``n_g/(n·α_g)``, or the stabilized normalization of
+Eq. 35).
 """
 
-from repro.sampling.adaptive import AdaptiveNormEstimator
 from repro.sampling.inclusion import (
     num_ordered_sequences,
     sequential_wor_inclusion,
@@ -28,7 +27,6 @@ from repro.sampling.probability import (
     variance_optimal_probabilities,
 )
 from repro.sampling.sampler import (
-    ADAPTIVE_METHODS,
     AggregationMode,
     GroupSampler,
     aggregation_weights,
@@ -52,10 +50,8 @@ __all__ = [
     "variance_optimal_probabilities",
     "GroupSampler",
     "AggregationMode",
-    "ADAPTIVE_METHODS",
     "aggregation_weights",
     "sample_without_replacement",
-    "AdaptiveNormEstimator",
     "SamplingScheme",
     "MultinomialScheme",
     "SequentialWORScheme",

@@ -176,17 +176,14 @@ def sampling_probabilities_from_counts(
 
 def variance_optimal_probabilities(
     group_sizes: np.ndarray,
-    update_norms: np.ndarray | None = None,
     min_prob: float = 0.0,
 ) -> np.ndarray:
     """The closed-form variance minimizer p*_g ∝ n_g·‖x_g‖ (Fraboni et al.).
 
     Minimizes the sampling-variance term Σ_g (n_g/n)²·‖x_g‖²/p_g of the
     unbiased estimator over the probability simplex (Cauchy–Schwarz gives
-    p*_g ∝ n_g·‖x_g‖). With ``update_norms`` omitted every norm is taken
-    as 1, collapsing to the size-optimal prior p* ∝ n_g — the ``varopt``
-    sampling method. The ``adaptive`` method feeds online norm estimates
-    here instead (:class:`repro.sampling.adaptive.AdaptiveNormEstimator`).
+    p*_g ∝ n_g·‖x_g‖). Every norm is taken as 1, collapsing to the
+    size-optimal prior p* ∝ n_g — the ``varopt`` sampling method.
     ``min_prob`` water-fills a floor exactly as in
     :func:`sampling_probabilities`, bounding Γ_p.
     """
@@ -197,18 +194,7 @@ def variance_optimal_probabilities(
         )
     if np.any(n_g <= 0) or not np.all(np.isfinite(n_g)):
         raise ValueError("group sizes must be finite and positive")
-    if update_norms is None:
-        score = n_g
-    else:
-        norms = np.asarray(update_norms, dtype=np.float64)
-        if norms.shape != n_g.shape:
-            raise ValueError(
-                f"update_norms shape {norms.shape} != group_sizes shape {n_g.shape}"
-            )
-        if np.any(norms <= 0) or not np.all(np.isfinite(norms)):
-            raise ValueError("update norms must be finite and positive")
-        score = n_g * norms
-    p = score / score.sum()
+    p = n_g / n_g.sum()
     if min_prob > 0.0:
         if min_prob * p.size > 1.0:
             raise ValueError(

@@ -21,10 +21,8 @@ discussed in §3.1/§6.2:
   when prioritized sampling and the unbiasedness factor are combined).
 
 The probability vector p itself comes from the CoV weight functions of
-Eq. (34) (``random``/``rcov``/``srcov``/``esrcov``), from the closed-form
-variance minimizer p* ∝ n_g (``varopt``), or from the online
-norm-adaptive refinement p* ∝ n_g·EMA‖Δ_g‖ (``adaptive`` — see
-:mod:`repro.sampling.adaptive`).
+Eq. (34) (``random``/``rcov``/``srcov``/``esrcov``) or from the closed-form
+variance minimizer p* ∝ n_g (``varopt``).
 """
 
 from __future__ import annotations
@@ -35,7 +33,6 @@ import numpy as np
 
 from repro.grouping.base import Group
 from repro.rng import make_rng
-from repro.sampling.adaptive import AdaptiveNormEstimator
 from repro.sampling.probability import (
     sampling_probabilities_from_counts,
     variance_optimal_probabilities,
@@ -45,16 +42,10 @@ from repro.telemetry import Telemetry, resolve as resolve_telemetry
 
 __all__ = [
     "AggregationMode",
-    "ADAPTIVE_METHODS",
     "sample_without_replacement",
     "aggregation_weights",
     "GroupSampler",
 ]
-
-#: sampling methods whose p comes from group sizes/update norms rather
-#: than CoV weight functions (Eq. 34)
-ADAPTIVE_METHODS = ("varopt", "adaptive")
-
 
 class AggregationMode(str, Enum):
     """How sampled group models are combined at the cloud."""
@@ -145,9 +136,9 @@ class GroupSampler:
 
     Computes p once (``Sampling-Prob`` — Algorithm 1 Line 4) from group
     CoVs (Eq. 34 methods, one pass over the groups' stacked label
-    counts), group sizes (``varopt``), or size×norm
-    estimates (``adaptive``), binds a :class:`SamplingScheme` to it, and
-    then draws S_t each round. Recreate the sampler after any regrouping.
+    counts) or group sizes (``varopt``), binds a :class:`SamplingScheme`
+    to it, and then draws S_t each round. p and the scheme never change
+    after construction: recreate the sampler after any regrouping.
 
     Parameters
     ----------
@@ -156,10 +147,8 @@ class GroupSampler:
         or ``stratified``. Determines both the draw mechanics and the
         expected-multiplicity vector α the unbiased weights divide by.
     method:
-        ``random``/``rcov``/``srcov``/``esrcov`` (Eq. 34), ``varopt``
-        (p* ∝ n_g, the closed-form variance minimizer with unit norms), or
-        ``adaptive`` (starts at varopt, then re-estimates p from observed
-        group update norms — feed :meth:`observe_update_norms` each round).
+        ``random``/``rcov``/``srcov``/``esrcov`` (Eq. 34) or ``varopt``
+        (p* ∝ n_g, the closed-form variance minimizer with unit norms).
     """
 
     def __init__(
@@ -181,16 +170,10 @@ class GroupSampler:
         self.method = method
         self.num_sampled = int(num_sampled)
         self.mode = AggregationMode(mode)
-        self.min_prob = float(min_prob)
-        self.scheme_name = scheme
-        self.adaptive: AdaptiveNormEstimator | None = None
         counts = np.stack([g.label_counts for g in groups])
         n_g = counts.sum(axis=1)
-        if method in ADAPTIVE_METHODS:
-            self._n_g = n_g.astype(np.float64)
-            if method == "adaptive":
-                self.adaptive = AdaptiveNormEstimator(len(groups))
-            self.p = variance_optimal_probabilities(self._n_g, min_prob=min_prob)
+        if method == "varopt":
+            self.p = variance_optimal_probabilities(n_g, min_prob=min_prob)
         else:
             self.p = sampling_probabilities_from_counts(
                 counts, method=method, min_prob=min_prob
@@ -216,27 +199,6 @@ class GroupSampler:
         alpha = self.scheme.expected_multiplicity
         positive = alpha > 0
         return float(np.sum(1.0 / alpha[positive]))
-
-    def observe_update_norms(
-        self, selected: list[Group], norms: np.ndarray
-    ) -> None:
-        """Feed one round's observed ‖Δ_g‖ back into the adaptive method.
-
-        No-op unless ``method="adaptive"``. Recomputes p from the updated
-        norm EMAs and rebinds the scheme, so the *next* draw uses the
-        refreshed probabilities. Deterministic given the observation
-        sequence — the trainer's replay (and checkpoint resume, which
-        restores the estimator state) reproduces the p trajectory exactly.
-        """
-        if self.adaptive is None:
-            return
-        index_by_id = {g.group_id: i for i, g in enumerate(self.groups)}
-        indices = np.array([index_by_id[g.group_id] for g in selected], dtype=np.int64)
-        self.adaptive.observe(indices, norms)
-        self.p = variance_optimal_probabilities(
-            self._n_g, self.adaptive.estimates(), min_prob=self.min_prob
-        )
-        self.scheme = make_scheme(self.scheme_name, self.p, self.num_sampled)
 
     def sample(self) -> tuple[list[Group], np.ndarray]:
         """Draw S_t; returns (distinct groups, their aggregation weights).
@@ -275,34 +237,9 @@ class GroupSampler:
                 tel.observe("sampled_group_prob", float(p_g))
         return selected, weights
 
-    def adaptive_state_dict(self) -> dict | None:
-        """The adaptive estimator's state (None for non-adaptive methods)."""
-        if self.adaptive is None:
-            return None
-        return self.adaptive.state_dict()
-
-    def load_adaptive_state_dict(self, state: dict | None) -> None:
-        """Restore the adaptive estimator and recompute p/scheme from it."""
-        if self.adaptive is None:
-            if state is not None:
-                raise ValueError(
-                    "checkpoint carries adaptive-sampler state but this "
-                    f"sampler's method is {self.method!r}"
-                )
-            return
-        if state is None:
-            raise ValueError(
-                "adaptive sampler expects estimator state in the checkpoint"
-            )
-        self.adaptive.load_state_dict(state)
-        self.p = variance_optimal_probabilities(
-            self._n_g, self.adaptive.estimates(), min_prob=self.min_prob
-        )
-        self.scheme = make_scheme(self.scheme_name, self.p, self.num_sampled)
-
     def __repr__(self) -> str:
         return (
-            f"GroupSampler(method={self.method!r}, scheme={self.scheme_name!r}, "
+            f"GroupSampler(method={self.method!r}, scheme={self.scheme.name!r}, "
             f"S={self.num_sampled}, mode={self.mode.value}, |G|={len(self.groups)})"
         )
 

@@ -5,8 +5,7 @@ The observability substrate for every run: nestable wall-clock spans
 counters/gauges/histograms for the quantities the paper's cost model and
 sampling theory care about (bytes aggregated, clients dropped, sampled
 inclusion probabilities, Γ_p, cost-ledger deltas), a subscribe-able event
-bus, and exporters (JSONL trace, CSV summary, Prometheus text, ASCII
-summary table).
+bus, and exporters (JSONL trace, ASCII summary table).
 
 Quick tour
 ----------
@@ -36,11 +35,8 @@ no-ops — results are bit-identical and overhead is below the noise floor.
 from repro.telemetry.events import Event, EventBus
 from repro.telemetry.exporters import (
     load_jsonl,
-    parse_prometheus,
     summary,
-    to_csv,
     to_jsonl,
-    to_prometheus,
 )
 from repro.telemetry.facade import (
     NULL_TELEMETRY,
@@ -66,8 +62,5 @@ __all__ = [
     "EventBus",
     "to_jsonl",
     "load_jsonl",
-    "to_csv",
-    "to_prometheus",
-    "parse_prometheus",
     "summary",
 ]

@@ -1,17 +1,14 @@
-"""Exporters: JSONL event log, CSV summary, Prometheus text, ASCII table.
+"""Exporters: JSONL event log and ASCII table.
 
-All exporters read the same :class:`~repro.telemetry.Telemetry` facade and
-are pure functions of its state — export as often as you like, during or
-after a run. The JSONL trace is the lossless format (every span, metric,
-and event); CSV and Prometheus are summaries that round-trip the same
-counter/gauge values (asserted by the test suite).
+Both read the same :class:`~repro.telemetry.Telemetry` facade and are pure
+functions of its state — export as often as you like, during or after a
+run. The JSONL trace is the lossless format (every span, metric, and
+event); the table is its human-readable summary.
 """
 
 from __future__ import annotations
 
-import csv
 import json
-import re
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -20,15 +17,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = [
     "to_jsonl",
     "load_jsonl",
-    "to_csv",
-    "to_prometheus",
-    "parse_prometheus",
     "summary",
 ]
-
-_PROM_NAME_RE = re.compile(r"[^a-zA-Z0-9_:]")
-_PROM_PREFIX = "repro_"
-
 
 def to_jsonl(telemetry: "Telemetry", path: str) -> int:
     """Write the full trace as JSON Lines; returns the record count.
@@ -66,79 +56,6 @@ def load_jsonl(path: str) -> dict[str, list[dict]]:
                 continue
             record = json.loads(line)
             out.setdefault(record.pop("type"), []).append(record)
-    return out
-
-
-def to_csv(telemetry: "Telemetry", path: str) -> int:
-    """Write a metric summary CSV; returns the row count.
-
-    Columns: ``kind,name,count,value,min,max,mean`` — counters and gauges
-    fill ``value``, histograms fill the statistics columns.
-    """
-    snapshot = telemetry.metrics.snapshot()
-    rows: list[list] = []
-    for name, value in sorted(snapshot["counters"].items()):
-        rows.append(["counter", name, "", value, "", "", ""])
-    for name, value in sorted(snapshot["gauges"].items()):
-        rows.append(["gauge", name, "", value, "", "", ""])
-    for name, data in sorted(snapshot["histograms"].items()):
-        rows.append(
-            ["histogram", name, data["count"], data["sum"],
-             data["min"], data["max"], data["mean"]]
-        )
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["kind", "name", "count", "value", "min", "max", "mean"])
-        writer.writerows(rows)
-    return len(rows)
-
-
-def _prom_name(name: str) -> str:
-    return _PROM_PREFIX + _PROM_NAME_RE.sub("_", name)
-
-
-def to_prometheus(telemetry: "Telemetry") -> str:
-    """Render metrics in the Prometheus text exposition format.
-
-    Histograms are exposed summary-style (``_count`` / ``_sum``). Span
-    aggregates ride along as ``repro_span_seconds_total{name=...}`` so a
-    scrape sees where the wall-clock went without parsing the JSONL trace.
-    """
-    snapshot = telemetry.metrics.snapshot()
-    lines: list[str] = []
-    for name, value in sorted(snapshot["counters"].items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {value!r}")
-    for name, value in sorted(snapshot["gauges"].items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {value!r}")
-    for name, data in sorted(snapshot["histograms"].items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} summary")
-        lines.append(f"{prom}_count {float(data['count'])!r}")
-        lines.append(f"{prom}_sum {data['sum']!r}")
-    totals = telemetry.tracer.totals_by_name()
-    if totals:
-        lines.append("# TYPE repro_span_seconds_total counter")
-        for name, (count, total) in sorted(totals.items()):
-            lines.append(
-                f'repro_span_seconds_total{{name="{name}"}} {total!r}'
-            )
-            lines.append(f'repro_span_count{{name="{name}"}} {float(count)!r}')
-    return "\n".join(lines) + "\n"
-
-
-def parse_prometheus(text: str) -> dict[str, float]:
-    """Parse exposition text back to ``{metric name: value}`` (tests)."""
-    out: dict[str, float] = {}
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, value = line.rsplit(" ", 1)
-        out[name] = float(value)
     return out
 
 

@@ -28,9 +28,7 @@ from repro.context import current
 from repro.telemetry.events import Event, EventBus
 from repro.telemetry.exporters import (
     summary as _summary,
-    to_csv as _to_csv,
     to_jsonl as _to_jsonl,
-    to_prometheus as _to_prometheus,
 )
 from repro.telemetry.metrics import MetricsRegistry
 from repro.telemetry.tracing import Span, Tracer
@@ -96,12 +94,6 @@ class Telemetry:
     def to_jsonl(self, path: str) -> int:
         return _to_jsonl(self, path)
 
-    def to_csv(self, path: str) -> int:
-        return _to_csv(self, path)
-
-    def to_prometheus(self) -> str:
-        return _to_prometheus(self)
-
     def summary(self) -> str:
         return _summary(self)
 
@@ -157,12 +149,6 @@ class NullTelemetry(Telemetry):
         )
 
     def to_jsonl(self, path: str) -> int:
-        raise self._disabled()
-
-    def to_csv(self, path: str) -> int:
-        raise self._disabled()
-
-    def to_prometheus(self) -> str:
         raise self._disabled()
 
     def summary(self) -> str:

@@ -6,12 +6,13 @@ per-thread stack so a span opened while another is active becomes its
 child, giving the trainer's ``round > group > client_update`` hierarchy for
 free on the serial path.
 
-Two parallel-execution concerns are handled explicitly:
+Two concurrency concerns are handled explicitly:
 
-* **Thread backend** — worker threads have their own (empty) span stacks,
-  so a span opened on a worker cannot see the main thread's ``round`` span.
-  Callers pass ``parent_id`` explicitly to stitch the cross-thread edge;
-  the finished-span list is lock-protected.
+* **Other threads** — a thread has its own (empty) span stack, so a span
+  opened there cannot see the main thread's ``round`` span. Callers pass
+  ``parent_id`` explicitly to stitch the cross-thread edge (the trainer's
+  pipeline thread does, for deferred evaluation); the finished-span list
+  is lock-protected.
 * **Process backend** — workers cannot share a tracer at all. A worker
   records into its own tracer and ships the finished spans back (spans are
   plain picklable dataclasses); :meth:`Tracer.ingest` merges them into the

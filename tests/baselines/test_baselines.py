@@ -304,6 +304,8 @@ class TestFedCLARRoundLoop:
             trainer._cluster_clients()
 
     def test_rejects_adaptive_sampling(self, small_fed, small_edges):
+        """There is no online-reweighted sampler for FedCLAR's cluster
+        rounds to starve: the config refuses the method name outright."""
         groups = group_clients_per_edge(
             RandomGrouping(3), small_fed.L, small_edges, rng=0
         )

@@ -18,10 +18,12 @@ import pytest
 
 from repro.baselines import FedCLARTrainer, IFCATrainer
 from repro.checkpoint import (
+    CHECKPOINT_VERSION,
     CheckpointError,
     CheckpointPolicy,
     capture_state,
     config_fingerprint,
+    read_checkpoint,
     write_checkpoint,
 )
 from repro.context import RunContext, activated
@@ -54,6 +56,7 @@ def _make_trainer(
     checkpoint_every=None,
     faults=FAULTS,
     label="ckpt-test",
+    pipeline=False,
 ):
     groups = group_clients_per_edge(
         CoVGrouping(3, 1.0), small_fed.L, small_edges, rng=0
@@ -63,6 +66,7 @@ def _make_trainer(
         momentum=0.9, weight_decay=1e-4, lr=lr,
         seed=7, parallel_backend=backend, faults=faults,
         regroup_every=regroup_every, checkpoint_every=checkpoint_every,
+        pipeline_rounds=pipeline,
     )
     kwargs = {}
     if regroup_every is not None:
@@ -167,22 +171,22 @@ class TestResumeSerial:
 
 class TestResumePooledBackends:
     def test_thread_backend_resume(self, small_fed, small_edges, tmp_path):
-        golden = _finish(
-            _make_trainer(small_fed, small_edges, backend="thread", max_rounds=4)
-        )
+        """The one worker thread a run still uses is the pipeline's: a
+        faulty run whose checkpoints that thread writes resumes onto the
+        same curves, trace and parameters as an uninterrupted one."""
+        golden = _finish(_make_trainer(small_fed, small_edges, max_rounds=4))
         _finish(
             _make_trainer(
-                small_fed, small_edges, backend="thread", max_rounds=4,
+                small_fed, small_edges, max_rounds=4, pipeline=True,
                 checkpoint_dir=tmp_path / "ck",
             )
         )
         resumed = _make_trainer(
-            small_fed, small_edges, backend="thread", max_rounds=4
+            small_fed, small_edges, max_rounds=4, pipeline=True
         )
         resumed.load_checkpoint(tmp_path / "ck" / "ckpt_round_000002.ckpt")
         assert _finish(resumed) == golden
 
-    @pytest.mark.slow
     def test_process_backend_resume(self, small_fed, small_edges, tmp_path):
         """Resume must re-register the pool's one-time worker state so
         workers train against the restored strategy/compressor/faults."""
@@ -280,6 +284,30 @@ class TestGuards:
         with pytest.raises(CheckpointError, match=r"\['lr'\]"):
             divergent.load_checkpoint(tmp_path / "old.ckpt")
         divergent.close()
+
+    def test_state_with_a_sampler_adaptive_entry_resumes(
+        self, small_fed, small_edges, tmp_path
+    ):
+        """Earlier version-1 checkpoints also stored ``"sampler_adaptive":
+        None`` (a sampler's online state, never set for the methods that
+        remain); the entry is ignored and the resume is bit-identical."""
+        assert CHECKPOINT_VERSION == 1
+        golden = _finish(_make_trainer(small_fed, small_edges, max_rounds=4))
+        ckdir = tmp_path / "ck"
+        _finish(
+            _make_trainer(
+                small_fed, small_edges, max_rounds=4, checkpoint_dir=ckdir
+            )
+        )
+        header, state = read_checkpoint(ckdir / "ckpt_round_000002.ckpt")
+        assert "sampler_adaptive" not in state
+        state["sampler_adaptive"] = None
+        meta = {k: header[k] for k in ("label", "round_idx", "config")}
+        write_checkpoint(tmp_path / "old.ckpt", state, meta=meta)
+        resumed = _make_trainer(small_fed, small_edges, max_rounds=4)
+        resumed.load_checkpoint(tmp_path / "old.ckpt")
+        assert resumed.round_idx == 2
+        assert _finish(resumed) == golden
 
     def test_load_from_empty_directory(self, small_fed, small_edges, tmp_path):
         trainer = _make_trainer(small_fed, small_edges, max_rounds=2)

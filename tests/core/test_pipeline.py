@@ -184,7 +184,7 @@ class TestPipelineClustered:
         finally:
             trainer.close()
 
-    @pytest.mark.parametrize("backend", ["serial", "thread"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     @pytest.mark.parametrize("kind", ["ifca", "fedclar"])
     def test_pipelined_equals_synchronous(
         self, small_fed, small_edges, tmp_path, kind, backend

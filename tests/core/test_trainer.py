@@ -211,21 +211,25 @@ class TestRegrouping:
 
 class TestParallelBackends:
     def test_thread_backend_matches_serial(self, small_fed, small_edges):
-        """Group-parallel execution must not change results (ordered agg)."""
+        """Group-parallel execution must not change results (ordered agg):
+        the process backend reproduces the serial run exactly."""
         results = []
-        for backend in ("serial", "thread"):
+        for backend in ("serial", "process"):
             cfg = TrainerConfig(group_rounds=1, local_rounds=1, num_sampled=2,
                                 lr=0.08, max_rounds=3, parallel_backend=backend,
                                 seed=0)
             groups = group_clients_per_edge(
                 CoVGrouping(3, 0.5), small_fed.L, small_edges, rng=0
             )
-            trainer = GroupFELTrainer(
+            with GroupFELTrainer(
                 lambda: make_mlp(192, 10, hidden=(16,), seed=3),
                 small_fed, groups, cfg,
-            )
-            results.append(trainer.run().test_acc)
-        assert results[0] == pytest.approx(results[1])
+            ) as trainer:
+                history = trainer.run()
+            results.append((history.test_acc, trainer.global_params))
+        (acc_s, params_s), (acc_p, params_p) = results
+        assert acc_s == acc_p
+        assert np.array_equal(params_s, params_p)
 
 
 class TestConfigValidation:

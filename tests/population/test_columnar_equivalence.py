@@ -10,7 +10,6 @@ import functools
 import hashlib
 
 import numpy as np
-import pytest
 
 from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.data import FederatedDataset, SyntheticImage
@@ -31,7 +30,7 @@ GOLDEN = {
 KINDS = ("federated", "hand_built")
 
 
-def _make_trainer(kind, backend="serial", checkpoint_dir=None):
+def _make_trainer(kind, backend="serial", checkpoint_dir=None, pipeline=False):
     fed = FederatedDataset.from_dataset(  # fresh every call: drift mutates it in place
         *SyntheticImage(noise_std=2.0, seed=0).train_test(2_000, 300),
         num_clients=16, alpha=0.1, size_low=15, size_high=50, rng=11,
@@ -43,6 +42,7 @@ def _make_trainer(kind, backend="serial", checkpoint_dir=None):
     cfg = TrainerConfig(
         max_rounds=6, group_rounds=1, local_rounds=1, num_sampled=2, seed=3,
         parallel_backend=backend, population=PopulationModel.from_spec(SPEC, seed=7),
+        pipeline_rounds=pipeline,
     )
     return GroupFELTrainer(
         model_fn, fed, group_clients_per_edge(grouper, fed.L, EDGES, rng=5), cfg,
@@ -64,16 +64,17 @@ def _finished(trainer) -> dict:
 
 
 class TestTrainingEquivalence:
-    def test_serial(self, backend="serial"):
+    def test_serial(self, backend="serial", pipeline=False):
         for kind in KINDS:
-            assert _finished(_make_trainer(kind, backend)) == GOLDEN, kind
+            assert _finished(_make_trainer(kind, backend, pipeline=pipeline)) == GOLDEN, kind
 
-    def test_thread(self):
-        self.test_serial("thread")
-
-    @pytest.mark.slow
     def test_process(self):
         self.test_serial("process")
+
+    def test_thread(self):
+        """Churn and drift under pipelined rounds, whose evaluation runs on
+        the trainer's one background thread, keep the golden."""
+        self.test_serial(pipeline=True)
 
 
 class TestResumeEquivalence:

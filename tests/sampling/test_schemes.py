@@ -1,4 +1,4 @@
-"""Sampling schemes, inclusion probabilities, and the adaptive sampler.
+"""Sampling schemes, inclusion probabilities, and the varopt method.
 
 The load-bearing facts pinned here:
 
@@ -10,7 +10,7 @@ The load-bearing facts pinned here:
 2. Every scheme's ``expected_multiplicity`` is what its draws actually
    realize (empirical α within CLT tolerance).
 3. Checkpoint resume replays bit-identically under every scheme and under
-   the varopt/adaptive methods, and the config fingerprint folds the
+   the varopt method, and the config fingerprint folds the
    scheme in (cross-scheme resume is rejected loudly).
 """
 
@@ -28,7 +28,6 @@ from repro.core.trainer import GroupFELTrainer, TrainerConfig
 from repro.grouping import CoVGrouping, Group, group_clients_per_edge
 from repro.nn import make_mlp
 from repro.sampling import (
-    AdaptiveNormEstimator,
     GroupSampler,
     MultinomialScheme,
     SequentialWORScheme,
@@ -230,11 +229,6 @@ class TestVarianceOptimalProbabilities:
         p = variance_optimal_probabilities(n_g)
         assert np.allclose(p, n_g / n_g.sum())
 
-    def test_norms_fold_in(self):
-        n_g = np.array([10.0, 10.0])
-        p = variance_optimal_probabilities(n_g, np.array([1.0, 3.0]))
-        assert np.allclose(p, [0.25, 0.75])
-
     def test_min_prob_floor(self):
         p = variance_optimal_probabilities(
             np.array([1.0, 1.0, 1000.0]), min_prob=0.1
@@ -245,47 +239,8 @@ class TestVarianceOptimalProbabilities:
     def test_validation(self):
         with pytest.raises(ValueError, match="positive"):
             variance_optimal_probabilities(np.array([0.0, 1.0]))
-        with pytest.raises(ValueError, match="shape"):
-            variance_optimal_probabilities(np.array([1.0, 2.0]), np.array([1.0]))
-        with pytest.raises(ValueError, match="update norms"):
-            variance_optimal_probabilities(
-                np.array([1.0, 2.0]), np.array([1.0, 0.0])
-            )
-
-
-class TestAdaptiveNormEstimator:
-    def test_ema_and_prior_fill(self):
-        est = AdaptiveNormEstimator(4, beta=0.5)
-        est.observe(np.array([0]), np.array([2.0]))
-        est.observe(np.array([0, 1]), np.array([4.0, 8.0]))
-        got = est.estimates()
-        assert got[0] == pytest.approx(3.0)  # 0.5*2 + 0.5*4
-        assert got[1] == pytest.approx(8.0)
-        # Unseen groups sit at the mean of the observed EMAs.
-        assert got[2] == got[3] == pytest.approx((3.0 + 8.0) / 2)
-
-    def test_state_roundtrip(self):
-        est = AdaptiveNormEstimator(3, beta=0.7)
-        est.observe(np.array([1, 2]), np.array([1.5, 0.5]))
-        clone = AdaptiveNormEstimator(3)
-        clone.load_state_dict(est.state_dict())
-        assert np.array_equal(clone.estimates(), est.estimates())
-        assert clone.beta == est.beta and clone.observations == est.observations
-
-    def test_resize_keeps_scale_as_prior(self):
-        est = AdaptiveNormEstimator(2)
-        est.observe(np.array([0, 1]), np.array([4.0, 6.0]))
-        est.resize(5)
-        assert np.allclose(est.estimates(), 5.0)
-
-    def test_validation(self):
-        est = AdaptiveNormEstimator(2)
-        with pytest.raises(ValueError, match="out of range"):
-            est.observe(np.array([5]), np.array([1.0]))
-        with pytest.raises(ValueError, match="finite and non-negative"):
-            est.observe(np.array([0]), np.array([-1.0]))
-        with pytest.raises(ValueError, match="beta"):
-            AdaptiveNormEstimator(2, beta=1.0)
+        with pytest.raises(ValueError, match="1-D"):
+            variance_optimal_probabilities(np.array([[1.0, 2.0]]))
 
 
 class TestGroupSamplerSchemes:
@@ -320,37 +275,6 @@ class TestGroupSamplerSchemes:
         sampler = GroupSampler(groups, method="varopt", num_sampled=2, rng=0)
         n_g = np.array([g.n_g for g in groups], float)
         assert np.allclose(sampler.p, n_g / n_g.sum())
-        assert sampler.adaptive is None
-
-    def test_adaptive_reweights_toward_high_norm_groups(self):
-        groups = _make_groups()
-        sampler = GroupSampler(groups, method="adaptive", num_sampled=2, rng=0)
-        p0 = sampler.p.copy()
-        # Group 0 keeps producing 10× the update norm of group 1.
-        for _ in range(5):
-            sampler.observe_update_norms(
-                [groups[0], groups[1]], np.array([10.0, 1.0])
-            )
-        assert sampler.p[0] > p0[0]
-        assert sampler.p[0] / sampler.p[1] > (
-            groups[0].n_g / groups[1].n_g
-        )  # norm signal on top of the size signal
-        # Scheme was rebound to the refreshed p.
-        assert np.array_equal(sampler.scheme.p, sampler.p)
-
-    def test_adaptive_state_roundtrip_through_sampler(self):
-        groups = _make_groups()
-        a = GroupSampler(groups, method="adaptive", num_sampled=2, rng=0)
-        a.observe_update_norms([groups[2]], np.array([7.0]))
-        b = GroupSampler(groups, method="adaptive", num_sampled=2, rng=0)
-        b.load_adaptive_state_dict(a.adaptive_state_dict())
-        assert np.array_equal(a.p, b.p)
-
-    def test_non_adaptive_rejects_adaptive_state(self):
-        sampler = GroupSampler(_make_groups(), method="esrcov", num_sampled=2)
-        assert sampler.adaptive_state_dict() is None
-        with pytest.raises(ValueError, match="adaptive"):
-            sampler.load_adaptive_state_dict({"ema": {}})
 
     def test_gamma_alpha_finite_for_all_schemes(self):
         for scheme in ("multinomial", "sequential_wor", "stratified"):
@@ -393,8 +317,7 @@ class TestTrainerSchemeIntegration:
     def test_config_validates_scheme_and_methods(self):
         with pytest.raises(ValueError, match="sampling_scheme"):
             TrainerConfig(sampling_scheme="bogus")
-        for method in ("varopt", "adaptive"):
-            assert TrainerConfig(sampling_method=method).sampling_method == method
+        assert TrainerConfig(sampling_method="varopt").sampling_method == "varopt"
         with pytest.raises(ValueError, match="sampling_method"):
             TrainerConfig(sampling_method="bogus")
 
@@ -405,14 +328,13 @@ class TestTrainerSchemeIntegration:
             ("sequential_wor", "esrcov"),
             ("stratified", "esrcov"),
             ("sequential_wor", "varopt"),
-            ("sequential_wor", "adaptive"),
         ],
     )
     def test_resume_is_bit_identical_per_scheme(
         self, small_fed, small_edges, tmp_path, scheme, method
     ):
         """The acceptance bar: checkpoint resume replays identically under
-        every scheme (and the adaptive estimator state survives)."""
+        every scheme."""
         golden = _finish(_make_trainer(small_fed, small_edges, scheme=scheme,
                                        method=method))
         ckdir = tmp_path / "ck"
@@ -435,14 +357,3 @@ class TestTrainerSchemeIntegration:
         with pytest.raises(CheckpointError, match="sampling_scheme"):
             other.load_checkpoint(ckdir / "ckpt_round_000002.ckpt")
         other.close()
-
-    def test_adaptive_runs_learn_nontrivial_p(self, small_fed, small_edges):
-        trainer = _make_trainer(small_fed, small_edges, scheme="sequential_wor",
-                                method="adaptive")
-        try:
-            trainer.run(max_rounds=3)
-            assert trainer.sampler.adaptive is not None
-            assert trainer.sampler.adaptive.observations > 0
-            assert trainer.sampler.p.sum() == pytest.approx(1.0)
-        finally:
-            trainer.close()

@@ -1,4 +1,4 @@
-"""Exporter tests: JSONL lossless dump, CSV/Prometheus round-trips, summary."""
+"""Exporter tests: JSONL lossless dump and the ASCII summary."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.telemetry import (
     NULL_TELEMETRY,
     Telemetry,
     load_jsonl,
-    parse_prometheus,
 )
 
 
@@ -64,60 +63,6 @@ class TestJsonl:
         assert spans["group"]["attrs"] == {"group_id": 1}
 
 
-class TestCsv:
-    def test_rows(self, tel, tmp_path):
-        path = str(tmp_path / "metrics.csv")
-        rows = tel.to_csv(path)
-        lines = open(path).read().strip().splitlines()
-        assert lines[0] == "kind,name,count,value,min,max,mean"
-        assert len(lines) == rows + 1
-        body = {line.split(",")[1]: line.split(",") for line in lines[1:]}
-        assert float(body["cloud_bytes_aggregated"][3]) == 1024.0
-        assert float(body["gamma_p"][3]) == 0.1234567891011
-        hist = body["round_cost"]
-        assert (int(hist[2]), float(hist[3])) == (2, 40.0)
-
-    def test_csv_prometheus_agree(self, tel, tmp_path):
-        """The two summary exports expose the same counter/gauge values."""
-        path = str(tmp_path / "metrics.csv")
-        tel.to_csv(path)
-        csv_values = {}
-        for line in open(path).read().strip().splitlines()[1:]:
-            kind, name, _, value = line.split(",")[:4]
-            if kind in ("counter", "gauge"):
-                csv_values[name] = float(value)
-        prom = parse_prometheus(tel.to_prometheus())
-        for name, value in csv_values.items():
-            assert prom[f"repro_{name}"] == value
-
-
-class TestPrometheus:
-    def test_exact_roundtrip(self, tel):
-        text = tel.to_prometheus()
-        values = parse_prometheus(text)
-        assert values["repro_cloud_bytes_aggregated"] == 1024.0
-        # repr() float formatting makes the round-trip exact, not approximate.
-        assert values["repro_gamma_p"] == 0.1234567891011
-        assert values["repro_round_cost_count"] == 2.0
-        assert values["repro_round_cost_sum"] == 40.0
-
-    def test_type_comments_present(self, tel):
-        text = tel.to_prometheus()
-        assert "# TYPE repro_cloud_bytes_aggregated counter" in text
-        assert "# TYPE repro_gamma_p gauge" in text
-        assert "# TYPE repro_round_cost summary" in text
-
-    def test_span_aggregates_exposed(self, tel):
-        values = parse_prometheus(tel.to_prometheus())
-        assert values['repro_span_count{name="round"}'] == 1.0
-        assert values['repro_span_seconds_total{name="round"}'] > 0.0
-
-    def test_name_sanitised(self):
-        tel = Telemetry()
-        tel.inc("weird name-with.chars")
-        assert "repro_weird_name_with_chars" in tel.to_prometheus()
-
-
 class TestSummary:
     def test_contains_spans_and_metrics(self, tel):
         text = tel.summary()
@@ -134,10 +79,6 @@ class TestNullTelemetry:
     def test_exports_raise(self, tmp_path):
         with pytest.raises(RuntimeError, match="disabled"):
             NULL_TELEMETRY.to_jsonl(str(tmp_path / "x.jsonl"))
-        with pytest.raises(RuntimeError, match="disabled"):
-            NULL_TELEMETRY.to_csv(str(tmp_path / "x.csv"))
-        with pytest.raises(RuntimeError, match="disabled"):
-            NULL_TELEMETRY.to_prometheus()
 
     def test_summary_is_harmless(self):
         assert NULL_TELEMETRY.summary() == "(telemetry disabled)"

@@ -99,22 +99,6 @@ class TestSpanHierarchy:
         assert all(s.attrs["clients"] > 1 for s in backdoors)
         assert tel.metrics.counters()["backdoor_detect_calls"] == len(backdoors)
 
-    def test_thread_backend_groups_nest_under_round(self, small_fed, small_edges):
-        tel = Telemetry()
-        make_trainer(small_fed, small_edges, telemetry=tel,
-                     parallel_backend="thread", max_rounds=2).run()
-        rounds = [s for s in tel.tracer.spans() if s.name == "round"]
-        for round_span in rounds:
-            groups = [
-                c for c in tel.tracer.children(round_span.span_id)
-                if c.name == "group"
-            ]
-            # Cross-thread parenting: every sampled group stitched in even
-            # though it ran on a worker thread.
-            assert len(groups) == 2
-            for g in groups:
-                assert tel.tracer.children(g.span_id)
-
 
 class TestMetrics:
     def test_run_level_counters_and_gauges(self, small_fed, small_edges):

@@ -121,8 +121,9 @@ class TestQueries:
 
 class TestThreads:
     def test_worker_thread_spans_parent_explicitly(self):
-        """The trainer's thread backend stitches group spans under the round
-        span via an explicit parent_id (worker stacks start empty)."""
+        """A span opened on another thread (the trainer's pipeline thread
+        does this for deferred evaluation) stitches under its parent via an
+        explicit parent_id (worker stacks start empty)."""
         tracer = Tracer()
         with tracer.span("round") as round_span:
             round_id = tracer.current_span_id()

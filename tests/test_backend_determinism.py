@@ -1,5 +1,5 @@
-"""Cross-backend determinism: serial, thread, and process executors must
-produce bit-identical models — with and without fault injection.
+"""Cross-backend determinism: serial and process executors must produce
+bit-identical models — with and without fault injection.
 
 Fault decisions are pure functions of (plan seed, site), and per-group
 training RNGs are derived ahead of dispatch, so no backend's scheduling can
@@ -20,11 +20,11 @@ from repro.grouping import CoVGrouping, group_clients_per_edge
 from repro.nn import make_mlp, make_resnet_lite
 from repro.secure.backdoor import BackdoorDetector
 
-BACKENDS = ["serial", "thread", "process"]
+BACKENDS = ["serial", "process"]
 
 # Module-level so the process backend can pickle them.
 model_fn = functools.partial(make_mlp, 192, 10, seed=0)
-# The conv path: every thread's im2col reads one shared patch-index cache.
+# The conv path: im2col reads one shared patch-index cache.
 resnet_fn = functools.partial(make_resnet_lite, base_width=4, seed=0)
 
 
@@ -88,8 +88,8 @@ def test_backends_run_the_trainers_own_group_operations(
     small_fed, small_edges, defense_flag
 ):
     """Regression: process workers used to rebuild the group operations from
-    config flags, so a ``backdoor_detector=`` instance ran on serial and
-    thread while process ran a default detector — or, with
+    config flags, so a ``backdoor_detector=`` instance ran on serial
+    while process ran a default detector — or, with
     ``use_backdoor_defense=False``, none at all."""
     results = {
         b: _run(
@@ -103,18 +103,19 @@ def test_backends_run_the_trainers_own_group_operations(
 
 
 def test_serial_and_thread_agree_fast(small_fed, small_edges):
-    """Cheap always-on variant of the golden test (no process spin-up)."""
+    """Cheap always-on variant of the golden test: serial and process agree
+    under dropout and uplink-loss faults."""
     spec = "dropout:0.35@after,loss:0.2"
     a = _run(small_fed, small_edges, "serial", faults=spec)
-    b = _run(small_fed, small_edges, "thread", faults=spec)
+    b = _run(small_fed, small_edges, "process", faults=spec)
     assert a == b
 
 
 def test_resnet_serial_and_thread_agree(small_fed, small_edges):
-    """Conv + BatchNorm models on the per-client loop: thread workers share
-    the read-only patch-index cache and must not change a bit."""
+    """Conv + BatchNorm models on the per-client loop: process workers
+    reproduce the serial run bit for bit."""
     a = _run(small_fed, small_edges, "serial", model=resnet_fn)
-    b = _run(small_fed, small_edges, "thread", model=resnet_fn)
+    b = _run(small_fed, small_edges, "process", model=resnet_fn)
     assert a == b
 
 
@@ -123,7 +124,7 @@ def test_resnet_pipelined_eval_agrees(small_fed, small_edges):
     round trains, so two threads run the conv kernels at once."""
     a = _run(small_fed, small_edges, "serial", model=resnet_fn)
     b = _run(
-        small_fed, small_edges, "thread", model=resnet_fn, pipeline_rounds=True
+        small_fed, small_edges, "serial", model=resnet_fn, pipeline_rounds=True
     )
     assert a == b
 

@@ -100,7 +100,7 @@ def _make_trainer(
 
 
 class TestPoolLifecycle:
-    @pytest.mark.parametrize("backend", ["thread", "process"])
+    @pytest.mark.parametrize("backend", ["process"])
     def test_executor_reused_across_map_calls(self, backend):
         with ParallelMap(backend, max_workers=2) as pm:
             assert not pm.has_live_pool  # lazily created
@@ -140,11 +140,11 @@ class TestPoolLifecycle:
             # ...and the rebuilt pool's workers were initialized once.
             assert pm.map(worker_init_count, range(4)) == [1] * 4
 
-    @pytest.mark.parametrize("backend", ["serial", "thread", "process"])
+    @pytest.mark.parametrize("backend", ["serial", "process"])
     def test_heap_is_trimmed_once_before_each_process_pool(self, backend, monkeypatch):
         """Forked workers count the parent's free heap as theirs, so every
-        process pool is built right after one trim; other backends never
-        trim."""
+        process pool is built right after one trim; the serial backend
+        never trims."""
         trims = []
         monkeypatch.setattr(
             "repro.parallel.trim_free_heap", lambda: trims.append(pm.pools_created)
@@ -232,7 +232,7 @@ class TestPoolLifecycle:
             worker_state("never-registered")
 
     def test_close_idempotent_and_final(self):
-        pm = ParallelMap("thread", max_workers=2)
+        pm = ParallelMap("process", max_workers=2)
         pm.map(_square, [1, 2])
         pm.close()
         pm.close()  # idempotent
@@ -248,7 +248,7 @@ class TestPoolLifecycle:
 
     def test_pool_telemetry_counters(self):
         tel = Telemetry(label="pool-test")
-        with ParallelMap("thread", max_workers=2, telemetry=tel) as pm:
+        with ParallelMap("process", max_workers=2, telemetry=tel) as pm:
             pm.map(_square, [1, 2, 3])
             pm.map(_square, [4])
         assert tel.metrics.counter("pool.created").value == 1.0
@@ -375,9 +375,9 @@ class TestTrainerPoolIntegration:
     def test_ambient_pool_is_picked_up_and_left_open(
         self, small_fed, small_edges
     ):
-        with ParallelMap("thread", max_workers=2) as pm:
+        with ParallelMap("process", max_workers=2) as pm:
             with activated(RunContext(parallel=pm)):
-                trainer = _make_trainer(small_fed, small_edges, "thread")
+                trainer = _make_trainer(small_fed, small_edges, "process")
                 assert trainer.executor.pmap is pm
                 assert not trainer.executor.owns_pool
                 trainer.run()
@@ -391,7 +391,7 @@ class TestTrainerPoolIntegration:
         """The executor must not point back at its trainer: a cycle would
         keep every dropped trainer — and its dataset — alive until the
         collector runs, which the round ledger sees as peak RSS."""
-        trainer = _make_trainer(small_fed, small_edges, "thread", max_rounds=1)
+        trainer = _make_trainer(small_fed, small_edges, "process", max_rounds=1)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
@@ -405,7 +405,7 @@ class TestTrainerPoolIntegration:
                 gc.enable()
 
     def test_context_manager_closes(self, small_fed, small_edges):
-        with _make_trainer(small_fed, small_edges, "thread", max_rounds=1) as t:
+        with _make_trainer(small_fed, small_edges, "process", max_rounds=1) as t:
             t.run()
         assert not t.executor.pmap.has_live_pool
 
